@@ -57,7 +57,7 @@ pub struct Meta {
     pub samples: usize,
     /// Load-test duration per target, seconds.
     pub load_secs: u64,
-    /// Closed-loop load clients.
+    /// Load-generator sender threads.
     pub clients: usize,
     /// Cluster replicas behind the router leg.
     pub replicas: usize,

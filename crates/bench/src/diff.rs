@@ -146,7 +146,8 @@ fn classify(file: &str, path: &[String]) -> Class {
             "rate_achieved_rps" => Class::PerfLowerBad,
             "p50" | "p95" | "p99" => Class::PerfHigherBad,
             // url (ephemeral port), requests (duration-dependent),
-            // retried_ok, failovers, hedges, cache traffic counts, mean/max.
+            // failovers, router_retries, cache traffic counts, mean/max,
+            // and counters only an older baseline still carries.
             _ => Class::Ignore,
         };
     }

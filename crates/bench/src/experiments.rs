@@ -1,16 +1,16 @@
-//! Result generation for every table and figure.
+//! Figure data that needs more than the per-table rows.
 //!
 //! The per-cell evaluation core (measured workload → architectural model
-//! → Gflop/P and % of peak) lives in [`hec_serve::engine`] since the
-//! service and the CLI must produce bitwise-identical numbers; the
-//! moved items are re-exported here so existing callers keep working.
-//! What remains local is everything that needs the simulated runtime:
-//! the Figure 2 traffic capture and the Figure 8 assembly.
+//! → Gflop/P and % of peak) and the Table 3–6 row builders live in
+//! [`hec_serve::engine`], since the service and the CLI must produce
+//! bitwise-identical numbers. What remains here is the Figure 8
+//! assembly over those rows and the Figure 2 traffic capture, which
+//! needs the simulated runtime.
 //!
 //! Results use the paper's 7-column platform layout (see
 //! `report::paper::PLATFORMS`).
 
-pub use hec_serve::engine::{fvcam_rows, gtc_rows, lbmhd_rows, paratec_rows, Cell, Row};
+use hec_serve::engine::{fvcam_rows, gtc_rows, lbmhd_rows, paratec_rows, Cell, Row};
 
 /// Figure 8 data: the 256-processor slice of all four applications —
 /// (% of peak, speed relative to ES) per platform per app.

@@ -462,19 +462,20 @@ pub fn app_samples(iters: usize) -> Vec<Sample> {
 /// slow (entire pipelines), so they run fewer iterations.
 pub fn table_samples(iters: usize) -> Vec<Sample> {
     use crate::experiments;
+    use hec_serve::engine;
     let iters = iters.min(5);
     let mut out = vec![
         measure("tables/table3_fvcam", iters, 1.0, "table", || {
-            std::hint::black_box(experiments::fvcam_rows());
+            std::hint::black_box(engine::fvcam_rows());
         }),
         measure("tables/table4_gtc", iters, 1.0, "table", || {
-            std::hint::black_box(experiments::gtc_rows());
+            std::hint::black_box(engine::gtc_rows());
         }),
         measure("tables/table5_lbmhd", iters, 1.0, "table", || {
-            std::hint::black_box(experiments::lbmhd_rows());
+            std::hint::black_box(engine::lbmhd_rows());
         }),
         measure("tables/table6_paratec", iters, 1.0, "table", || {
-            std::hint::black_box(experiments::paratec_rows());
+            std::hint::black_box(engine::paratec_rows());
         }),
         measure("tables/fig8_summary", iters, 1.0, "table", || {
             std::hint::black_box(experiments::fig8_apps());

@@ -2,16 +2,17 @@
 //! figure of the paper from the four applications' workload models and the
 //! architectural performance models.
 //!
-//! * [`experiments`] — per-table result generation (predictions for every
-//!   platform × configuration the paper reports).
+//! * [`experiments`] — the Figure 8 summary and the Figure 2 traffic
+//!   capture (the per-table rows come from `hec_serve::engine`).
 //! * [`render`] — turns results into the paper's table/figure layouts.
 //! * [`validate`] — side-by-side shape comparison against the published
 //!   numbers (`report::paper`), used both by `repro validate` and the
 //!   integration tests.
 //! * [`harness`] — dependency-free micro/app benchmark timing
 //!   (`repro harness`).
-//! * [`loadgen`] — closed-loop load generator for the serve subsystem
-//!   (`repro loadgen`, writes `BENCH_serve.json`).
+//! * [`loadgen`] — seeded open-loop load generator for the serve and
+//!   cluster tiers (`repro loadgen`, writes `BENCH_serve.json` or
+//!   `BENCH_cluster.json`).
 //! * [`artifact`] — the metadata-stamped artifact writer/loader shared
 //!   by every JSON-producing subcommand.
 //! * [`pipeline`] — `repro all`: every artifact into one directory.

@@ -1,37 +1,28 @@
-//! `repro loadgen` — load generator for the serve/cluster subsystems,
-//! closed-loop by default, open-loop with `--rate=N`.
+//! `repro loadgen` — open-loop load generator for the serve/cluster
+//! subsystems.
 //!
-//! **Closed loop** (default): N client threads, each issuing one
-//! request at a time (think time zero, concurrency = N) round-robin
-//! over a repeated-request workload: single points for all four apps
-//! across several platforms, plus a sweep per app. Because the
-//! workload repeats, a correctly caching server converges to a high
-//! hit rate. Closed-loop latency suffers *coordinated omission*: a
-//! slow response delays the client's next arrival, so the recorded
-//! distribution under-represents exactly the stalls it should expose.
+//! Request arrival times are a fixed, seeded schedule — exponential
+//! inter-arrivals at the offered rate, computed *before* the run and
+//! independent of response times ([`arrival_offsets_ns`]). Latency is
+//! measured from each request's *scheduled* arrival to its completion,
+//! so time a request spends waiting behind a stalled server counts
+//! against the server, not against the schedule (no coordinated
+//! omission). Same seed + rate ⇒ byte-identical schedule. The mix is
+//! repeated: single points for all four apps across several platforms,
+//! plus a sweep per app, so a correctly caching server converges to a
+//! high hit rate.
 //!
-//! **Open loop** (`--rate=N`): request arrival times are a fixed,
-//! seeded schedule — exponential inter-arrivals at the offered rate,
-//! computed *before* the run and independent of response times
-//! ([`arrival_offsets_ns`]). Latency is measured from each request's
-//! *scheduled* arrival to its completion, so time a request spends
-//! waiting behind a stalled server counts against the server, not
-//! against the schedule. Same seed + rate ⇒ byte-identical schedule.
-//!
-//! Clients use the retrying GET ([`client::get_with_retry`]): a `503 +
-//! Retry-After` or a transport blip is retried with seeded backoff, and
-//! a request that needed a retry but ultimately succeeded is counted as
-//! `retried_ok` — *not* as an error. Only requests that stay failed
-//! after the budget count against the run.
+//! Each request is sent once ([`client::http_get`]). A non-`200`
+//! response counts as an error and a transport failure as a
+//! `transport_error`; nothing is retried, so the artifact reports what
+//! the target actually answered.
 //!
 //! The target's `/metrics` document decides the output shape: a
 //! document with a `cluster` section means the target is a
 //! `hec-cluster` router, and the run emits `BENCH_cluster.json`
 //! (throughput, exact latency quantiles, failovers, availability);
-//! otherwise it emits `BENCH_serve.json` with the cache breakdown, as
-//! before.
+//! otherwise it emits `BENCH_serve.json` with the cache breakdown.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -41,9 +32,12 @@ use report::latency::{cluster_table, latency_table, ClusterSummary, LatencySumma
 
 /// Default load duration, seconds.
 pub const DEFAULT_SECS: u64 = 5;
-/// Default closed-loop client count.
+/// Default sender-thread count.
 pub const DEFAULT_CLIENTS: usize = 4;
-/// Default arrival-schedule seed for open-loop runs. Any seed is
+/// Default offered rate, requests per second (`repro loadgen` and the
+/// `repro all` load legs).
+pub const DEFAULT_RATE: usize = 400;
+/// Default arrival-schedule seed. Any seed is
 /// valid; this one's Poisson draw lands near the nominal count at the
 /// pipeline's default (rate, secs), so the offered-vs-achieved stamp
 /// reads cleanly (an unlucky seed can legitimately draw a 3σ-thin
@@ -124,43 +118,12 @@ struct Sample {
     class: Class,
     latency_us: u64,
     ok: bool,
-    /// Succeeded only after at least one retry.
-    retried_ok: bool,
 }
 
 struct ClientStats {
     samples: Vec<Sample>,
-    /// Requests that exhausted the retry budget on transport errors.
+    /// Requests that failed in transport (no response at all).
     transport_errors: u64,
-}
-
-fn drive(base: String, stop: Arc<AtomicBool>, offset: usize) -> ClientStats {
-    let urls = workload(&base);
-    let policy = client::RetryPolicy::default();
-    let mut stats = ClientStats { samples: Vec::new(), transport_errors: 0 };
-    let mut i = offset;
-    while !stop.load(Ordering::Relaxed) {
-        let (class, url) = &urls[i % urls.len()];
-        // Per-request jitter seed: distinct per client and per request,
-        // deterministic for a given (client, index) pair.
-        let seed = ((offset as u64) << 32) ^ i as u64;
-        i += 1;
-        let t0 = Instant::now();
-        match client::get_with_retry(url, &policy, seed) {
-            Ok(out) => {
-                let us = t0.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                let ok = out.response.status == 200;
-                stats.samples.push(Sample {
-                    class: *class,
-                    latency_us: us,
-                    ok,
-                    retried_ok: ok && out.retried_ok,
-                });
-            }
-            Err(_) => stats.transport_errors += 1,
-        }
-    }
-    stats
 }
 
 /// Runs the fixed arrival schedule against the workload: the caller
@@ -172,7 +135,7 @@ fn drive(base: String, stop: Arc<AtomicBool>, offset: usize) -> ClientStats {
 fn drive_open(base: &str, ol: OpenLoop, secs: u64, clients: usize) -> Vec<ClientStats> {
     let urls = Arc::new(workload(base));
     let offsets = arrival_offsets_ns(ol.seed, ol.rate_rps, secs);
-    let (tx, rx) = std::sync::mpsc::channel::<(Instant, usize, u64)>();
+    let (tx, rx) = std::sync::mpsc::channel::<(Instant, usize)>();
     // std mpsc is single-consumer; senders share the receiver.
     let rx = Arc::new(std::sync::Mutex::new(rx));
     let t0 = Instant::now();
@@ -180,21 +143,18 @@ fn drive_open(base: &str, ol: OpenLoop, secs: u64, clients: usize) -> Vec<Client
         .map(|_| {
             let (rx, urls) = (Arc::clone(&rx), Arc::clone(&urls));
             std::thread::spawn(move || {
-                let policy = client::RetryPolicy::default();
                 let mut stats = ClientStats { samples: Vec::new(), transport_errors: 0 };
                 loop {
                     let job = rx.lock().unwrap().recv();
-                    let Ok((scheduled, idx, seed)) = job else { break };
+                    let Ok((scheduled, idx)) = job else { break };
                     let (class, url) = &urls[idx];
-                    match client::get_with_retry(url, &policy, seed) {
-                        Ok(out) => {
+                    match client::http_get(url) {
+                        Ok(resp) => {
                             let us = scheduled.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                            let ok = out.response.status == 200;
                             stats.samples.push(Sample {
                                 class: *class,
                                 latency_us: us,
-                                ok,
-                                retried_ok: ok && out.retried_ok,
+                                ok: resp.status == 200,
                             });
                         }
                         Err(_) => stats.transport_errors += 1,
@@ -211,9 +171,7 @@ fn drive_open(base: &str, ol: OpenLoop, secs: u64, clients: usize) -> Vec<Client
         if scheduled > now {
             std::thread::sleep(scheduled - now);
         }
-        // Per-request retry-jitter seed, deterministic in (seed, i).
-        let jitter = ol.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        if tx.send((scheduled, i % n, jitter)).is_err() {
+        if tx.send((scheduled, i % n)).is_err() {
             break;
         }
     }
@@ -278,23 +236,22 @@ fn summarize(class: Class, label: &str, samples: &[Sample]) -> LatencySummary {
 /// Runs the load test against `url` and writes the result into the
 /// current directory with a fresh metadata stamp (the standalone
 /// `repro loadgen` entry point).
-pub fn run(url: &str, secs: u64, clients: usize, open: Option<OpenLoop>) -> u64 {
+pub fn run(url: &str, secs: u64, clients: usize, ol: OpenLoop) -> u64 {
     let meta = crate::artifact::Meta::collect(0, secs, clients, 0);
-    run_into(&crate::artifact::Writer::cwd(&meta), url, secs, clients, open)
+    run_into(&crate::artifact::Writer::cwd(&meta), url, secs, clients, ol)
 }
 
 /// Runs the load test against `url` (a `hec-serve` instance or a
-/// `hec-cluster` router) and writes `BENCH_serve.json` or
-/// `BENCH_cluster.json` through `w` accordingly — closed-loop when
-/// `open` is `None`, open-loop at the given offered rate otherwise.
-/// Returns the number of error responses (HTTP or transport, after
-/// retries) so callers can fail a run that did not serve cleanly.
+/// `hec-cluster` router) at the offered rate of `ol` and writes
+/// `BENCH_serve.json` or `BENCH_cluster.json` through `w` accordingly.
+/// Returns the number of failed requests (HTTP or transport) so
+/// callers can fail a run that did not serve cleanly.
 pub fn run_into(
     w: &crate::artifact::Writer,
     url: &str,
     secs: u64,
     clients: usize,
-    open: Option<OpenLoop>,
+    ol: OpenLoop,
 ) -> u64 {
     let base = url.trim_end_matches('/').to_string();
     let metrics_url = format!("{base}/metrics");
@@ -306,38 +263,18 @@ pub fn run_into(
     let what = if is_cluster { "cluster" } else { "serve" };
 
     let t0 = Instant::now();
-    let stats: Vec<ClientStats> = match open {
-        Some(ol) => {
-            eprintln!(
-                "loadgen: open loop at {} rps (seed {:#x}, {clients} senders) against {base} \
-                 ({what}) for {secs}s...",
-                ol.rate_rps, ol.seed
-            );
-            drive_open(&base, ol, secs, clients)
-        }
-        None => {
-            eprintln!(
-                "loadgen: {clients} closed-loop clients against {base} ({what}) for {secs}s..."
-            );
-            let stop = Arc::new(AtomicBool::new(false));
-            let handles: Vec<_> = (0..clients.max(1))
-                .map(|c| {
-                    let (base, stop) = (base.clone(), Arc::clone(&stop));
-                    std::thread::spawn(move || drive(base, stop, c * 3))
-                })
-                .collect();
-            std::thread::sleep(Duration::from_secs(secs.max(1)));
-            stop.store(true, Ordering::Relaxed);
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        }
-    };
+    eprintln!(
+        "loadgen: open loop at {} rps (seed {:#x}, {clients} senders) against {base} \
+         ({what}) for {secs}s...",
+        ol.rate_rps, ol.seed
+    );
+    let stats = drive_open(&base, ol, secs, clients);
     let elapsed = t0.elapsed().as_secs_f64();
 
     let samples: Vec<Sample> = stats.iter().flat_map(|s| s.samples.iter().copied()).collect();
     let transport_errors: u64 = stats.iter().map(|s| s.transport_errors).sum();
     let http_errors = samples.iter().filter(|s| !s.ok).count() as u64;
     let errors = transport_errors + http_errors;
-    let retried_ok = samples.iter().filter(|s| s.retried_ok).count() as u64;
     let requests = samples.len() as u64;
     let attempted = requests + transport_errors;
     let availability =
@@ -378,18 +315,13 @@ pub fn run_into(
         ("url", Json::Str(base.clone())),
         ("secs", Json::Num(secs as f64)),
         ("clients", Json::Num(clients as f64)),
-        ("open_loop", Json::Bool(open.is_some())),
-    ];
-    if let Some(ol) = open {
-        fields.push(("rate_offered_rps", Json::Num(ol.rate_rps)));
-        fields.push(("rate_achieved_rps", Json::Num(throughput)));
-        fields.push(("seed", Json::Num(ol.seed as f64)));
-    }
-    fields.extend([
+        ("open_loop", Json::Bool(true)),
+        ("rate_offered_rps", Json::Num(ol.rate_rps)),
+        ("rate_achieved_rps", Json::Num(throughput)),
+        ("seed", Json::Num(ol.seed as f64)),
         ("requests", Json::Num(requests as f64)),
         ("errors", Json::Num(errors as f64)),
         ("transport_errors", Json::Num(transport_errors as f64)),
-        ("retried_ok", Json::Num(retried_ok as f64)),
         ("throughput_rps", Json::Num(throughput)),
         ("connections_open_after_drain", Json::Num(connections_open_after_drain as f64)),
         (
@@ -403,11 +335,10 @@ pub fn run_into(
             ]),
         ),
         ("by_class", Json::obj([("eval", class_doc(&eval_sum)), ("sweep", class_doc(&sweep_sum))])),
-    ]);
+    ];
 
     if is_cluster {
         let failovers = delta(&["failovers"]);
-        let hedges = delta(&["hedges"]);
         // Elasticity deltas: how much the membership changed *during
         // this run*. All four are deterministic under a seeded plan, so
         // `repro diff` can hold them bit-for-bit.
@@ -431,7 +362,6 @@ pub fn run_into(
                 .unwrap_or(0),
             up: after.as_ref().map(|d| counter(d, &["cluster", "up"])).unwrap_or(0),
             failovers,
-            retried_ok,
             availability,
             membership_events,
             keys_moved,
@@ -439,7 +369,7 @@ pub fn run_into(
         };
         print!("{}", cluster_table("cluster availability", &summary).render());
         eprintln!(
-            "cluster: {failovers} failovers, {hedges} hedges, {retried_ok} retried-then-ok; \
+            "cluster: {failovers} failovers; \
              {membership_events} membership events ({keys_moved} keys moved); \
              {errors} errors; availability {:.3}%",
             availability * 100.0
@@ -450,7 +380,6 @@ pub fn run_into(
                 ("replicas", Json::Num(summary.replicas as f64)),
                 ("up", Json::Num(summary.up as f64)),
                 ("failovers", Json::Num(failovers as f64)),
-                ("hedges", Json::Num(hedges as f64)),
                 ("router_retries", Json::Num(delta(&["retries"]) as f64)),
                 ("availability", Json::Num(availability)),
             ]),
@@ -475,8 +404,7 @@ pub fn run_into(
         );
         let hit_rate = if hits + misses > 0 { hits as f64 / (hits + misses) as f64 } else { 0.0 };
         eprintln!(
-            "cache: {hits} hits / {misses} misses ({:.0}% hit rate); \
-             {retried_ok} retried-then-ok; {errors} errors",
+            "cache: {hits} hits / {misses} misses ({:.0}% hit rate); {errors} errors",
             hit_rate * 100.0
         );
         fields.push((

@@ -6,7 +6,7 @@
 //! the three can never drift apart.
 
 use bench::{experiments, render, validate};
-use hec_serve::engine::AppId;
+use hec_serve::engine::{self, AppId};
 use report::paper;
 
 /// One `repro` subcommand: its name, argument hint, one-line help, and
@@ -51,7 +51,7 @@ const COMMANDS: &[Cmd] = &[
         name: "fig3",
         args: "",
         help: "FVCAM Gflop/P scaling curves",
-        run: |_| print!("{}", render::fig3(&experiments::fvcam_rows(), &paper::FVCAM_PLATFORMS)),
+        run: |_| print!("{}", render::fig3(&engine::fvcam_rows(), &paper::FVCAM_PLATFORMS)),
     },
     Cmd {
         name: "fig4",
@@ -61,7 +61,7 @@ const COMMANDS: &[Cmd] = &[
             print!(
                 "{}",
                 render::fig4(
-                    &experiments::fvcam_rows(),
+                    &engine::fvcam_rows(),
                     &paper::FVCAM_PLATFORMS,
                     fvcam::model::D_MESH_STEPS_PER_DAY
                 )
@@ -129,7 +129,7 @@ const COMMANDS: &[Cmd] = &[
     Cmd {
         name: "loadgen",
         args: "<url> [secs] [clients] [--rate=RPS] [--seed=N]",
-        help: "load test (closed-loop; --rate=RPS switches to seeded open-loop arrivals); \
+        help: "open-loop load test at seeded Poisson arrivals (default 400 rps); \
                writes BENCH_serve.json (or BENCH_cluster.json for a router)",
         run: |args| loadgen(args),
     },
@@ -198,7 +198,10 @@ fn usage() -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let what = args.first().map(|s| s.as_str()).unwrap_or("all");
+    let Some(what) = args.first() else {
+        eprint!("{}", usage());
+        std::process::exit(2);
+    };
     match COMMANDS.iter().find(|c| c.name == what) {
         Some(cmd) => (cmd.run)(&args[1..]),
         None => {
@@ -342,13 +345,13 @@ fn scale(args: &[String]) {
 }
 
 fn loadgen(args: &[String]) {
-    let mut rate: Option<f64> = None;
+    let mut rate = bench::loadgen::DEFAULT_RATE as f64;
     let mut seed: u64 = bench::loadgen::DEFAULT_SEED;
     let mut positional: Vec<&String> = Vec::new();
     for a in args {
         if let Some(v) = a.strip_prefix("--rate=") {
             match v.parse::<f64>() {
-                Ok(r) if r > 0.0 => rate = Some(r),
+                Ok(r) if r > 0.0 => rate = r,
                 _ => {
                     eprintln!("loadgen: --rate wants a positive number, got {v:?}");
                     std::process::exit(2);
@@ -374,10 +377,10 @@ fn loadgen(args: &[String]) {
         positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(bench::loadgen::DEFAULT_SECS);
     let clients: usize =
         positional.get(2).and_then(|s| s.parse().ok()).unwrap_or(bench::loadgen::DEFAULT_CLIENTS);
-    let open = rate.map(|rate_rps| bench::loadgen::OpenLoop { rate_rps, seed });
-    let errors = bench::loadgen::run(url, secs, clients, open);
+    let ol = bench::loadgen::OpenLoop { rate_rps: rate, seed };
+    let errors = bench::loadgen::run(url, secs, clients, ol);
     if errors > 0 {
-        eprintln!("loadgen: {errors} error responses");
+        eprintln!("loadgen: {errors} failed requests");
         std::process::exit(1);
     }
 }
@@ -408,12 +411,12 @@ fn report_all() {
     println!();
     print!("{}", render::app_table(AppId::Fvcam).render());
     println!();
-    print!("{}", render::fig3(&experiments::fvcam_rows(), &paper::FVCAM_PLATFORMS));
+    print!("{}", render::fig3(&engine::fvcam_rows(), &paper::FVCAM_PLATFORMS));
     println!();
     print!(
         "{}",
         render::fig4(
-            &experiments::fvcam_rows(),
+            &engine::fvcam_rows(),
             &paper::FVCAM_PLATFORMS,
             fvcam::model::D_MESH_STEPS_PER_DAY
         )
@@ -467,10 +470,10 @@ fn fig2(scale: usize) {
 
 fn validate_all() {
     let cases = [
-        ("Table 3 (FVCAM)", experiments::fvcam_rows(), paper::table3()),
-        ("Table 4 (GTC)", experiments::gtc_rows(), paper::table4()),
-        ("Table 5 (LBMHD3D)", experiments::lbmhd_rows(), paper::table5()),
-        ("Table 6 (PARATEC)", experiments::paratec_rows(), paper::table6()),
+        ("Table 3 (FVCAM)", engine::fvcam_rows(), paper::table3()),
+        ("Table 4 (GTC)", engine::gtc_rows(), paper::table4()),
+        ("Table 5 (LBMHD3D)", engine::lbmhd_rows(), paper::table5()),
+        ("Table 6 (PARATEC)", engine::paratec_rows(), paper::table6()),
     ];
     for (name, ours, published) in cases {
         let shape = validate::compare(&ours, &published);

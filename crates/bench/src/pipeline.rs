@@ -36,12 +36,8 @@ pub const DEFAULT_DIR: &str = "artifacts";
 pub const DEFAULT_SAMPLES: usize = 3;
 /// Default load-test duration per target, seconds.
 pub const DEFAULT_SECS: u64 = 2;
-/// Default closed-loop load clients.
-pub const DEFAULT_CLIENTS: usize = 4;
 /// Default cluster replicas.
 pub const DEFAULT_REPLICAS: usize = 3;
-/// Default open-loop offered rate for the pipeline load tests, rps.
-pub const DEFAULT_RATE: usize = 400;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).filter(|&n| n > 0).unwrap_or(default)
@@ -56,15 +52,14 @@ fn env_usize(name: &str, default: usize) -> usize {
 pub fn run_all(dir: &str) -> Result<(), String> {
     let samples = env_usize("HEC_REPRO_SAMPLES", DEFAULT_SAMPLES);
     let secs = env_usize("HEC_REPRO_SECS", DEFAULT_SECS as usize) as u64;
-    let clients = env_usize("HEC_REPRO_CLIENTS", DEFAULT_CLIENTS);
+    let clients = env_usize("HEC_REPRO_CLIENTS", crate::loadgen::DEFAULT_CLIENTS);
     let replicas = env_usize("HEC_REPRO_REPLICAS", DEFAULT_REPLICAS);
-    // Pipeline load tests run open-loop at a fixed seeded rate so the
-    // latency artifacts are free of coordinated omission and the
-    // arrival schedule is identical run to run.
-    let open = Some(crate::loadgen::OpenLoop {
-        rate_rps: env_usize("HEC_REPRO_RATE", DEFAULT_RATE) as f64,
+    // A fixed seeded rate keeps the arrival schedule identical run to
+    // run.
+    let open = crate::loadgen::OpenLoop {
+        rate_rps: env_usize("HEC_REPRO_RATE", crate::loadgen::DEFAULT_RATE) as f64,
         seed: crate::loadgen::DEFAULT_SEED,
-    });
+    };
 
     let meta = Meta::collect(samples, secs, clients, replicas);
     let w = Writer::new(dir, &meta).map_err(|e| format!("cannot create {dir}: {e}"))?;

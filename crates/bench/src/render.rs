@@ -4,7 +4,9 @@ use hec_arch::Platform;
 use report::plot::{bar_chart, xy_chart, Series};
 use report::Table;
 
-use crate::experiments::{Cell, Fig8App, Row};
+use hec_serve::engine::{Cell, Row};
+
+use crate::experiments::Fig8App;
 
 /// Paper Table 1: architectural highlights (straight from the platform
 /// descriptors, which carry the measured values).
@@ -106,27 +108,25 @@ pub fn perf_table(title: &str, platforms: &[&str; 7], rows: &[Row]) -> Table {
 /// each table's title, platform set, and rows, shared by the `repro
 /// table3`–`table6` subcommands.
 pub fn app_table(app: hec_serve::engine::AppId) -> Table {
-    use hec_serve::engine::AppId;
+    use hec_serve::engine::{self, AppId};
     let (title, platforms, rows) = match app {
         AppId::Fvcam => (
             "Table 3: FVCAM performance on the D mesh (0.5 x 0.625 deg)",
             &report::paper::FVCAM_PLATFORMS,
-            crate::experiments::fvcam_rows(),
+            engine::fvcam_rows(),
         ),
         AppId::Gtc => (
             "Table 4: GTC performance (weak scaling, 3.2M particles/processor)",
             &report::paper::PLATFORMS,
-            crate::experiments::gtc_rows(),
+            engine::gtc_rows(),
         ),
-        AppId::Lbmhd => (
-            "Table 5: LBMHD3D performance",
-            &report::paper::PLATFORMS,
-            crate::experiments::lbmhd_rows(),
-        ),
+        AppId::Lbmhd => {
+            ("Table 5: LBMHD3D performance", &report::paper::PLATFORMS, engine::lbmhd_rows())
+        }
         AppId::Paratec => (
             "Table 6: PARATEC performance (488-atom CdSe quantum dot)",
             &report::paper::PLATFORMS,
-            crate::experiments::paratec_rows(),
+            engine::paratec_rows(),
         ),
     };
     perf_table(title, platforms, &rows)
@@ -269,7 +269,7 @@ mod tests {
 
     #[test]
     fn perf_table_renders_gtc() {
-        let rows = experiments::gtc_rows();
+        let rows = hec_serve::engine::gtc_rows();
         let t = perf_table("Table 4: GTC", &report::paper::PLATFORMS, &rows);
         let s = t.render();
         assert!(s.contains("100 p/c"));
@@ -278,7 +278,7 @@ mod tests {
 
     #[test]
     fn fig3_and_fig4_render() {
-        let rows = experiments::fvcam_rows();
+        let rows = hec_serve::engine::fvcam_rows();
         let f3 = fig3(&rows, &report::paper::FVCAM_PLATFORMS);
         assert!(f3.contains("Figure 3"));
         let f4 = fig4(&rows, &report::paper::FVCAM_PLATFORMS, 480.0);

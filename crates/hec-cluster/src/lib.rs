@@ -46,4 +46,4 @@ pub use health::{Health, HealthConfig};
 pub use membership::{AutoscaleConfig, Elasticity, Epoch, Membership, MembershipEvent};
 pub use replica::ReplicaSet;
 pub use ring::{owners_diff, stable_hash, OwnersDiff, Ring, DEFAULT_VNODES};
-pub use router::{start, Cluster, ClusterConfig, DEFAULT_REPLICATION};
+pub use router::{start, Cluster, ClusterConfig, RetryPolicy, DEFAULT_REPLICATION};

@@ -13,11 +13,15 @@
 //! mid-restart comes back within a retry or two — and only an exhausted
 //! budget turns into the router's own `503 + Retry-After`.
 //!
+//! This owner-pass backoff is the serving stack's only retry layer:
+//! clients send each request once ([`hec_serve::client`] has no retry
+//! policy), so a router `503` reaches the caller as is.
+//!
 //! Because every replica evaluates the same deterministic engine, the
-//! relayed body is byte-identical no matter which owner answered, which
-//! replica died mid-run, or whether a hedge won: the failover path is
-//! invisible in the response bytes, and `tests/cluster_e2e.rs` holds the
-//! router to exactly that.
+//! relayed body is byte-identical no matter which owner answered or
+//! which replica died mid-run: the failover path is invisible in the
+//! response bytes, and `tests/cluster_e2e.rs` holds the router to
+//! exactly that.
 //!
 //! Router-local protocol surface (everything else is forwarded):
 //!
@@ -45,7 +49,7 @@ use hec_core::json::Json;
 use hec_core::pool::{QueueGauge, Threads, WorkerPool};
 use hec_core::retry::Backoff;
 use hec_core::sync::Mutex;
-use hec_serve::client::{self, RetryPolicy};
+use hec_serve::client;
 use hec_serve::metrics::Histogram;
 use hec_serve::reactor::{self, CoreConfig, CoreEvents, NetStats, ShutdownFlag};
 use hec_serve::request::{parse_query, Point};
@@ -61,6 +65,27 @@ use crate::ring::{Ring, DEFAULT_VNODES};
 
 /// Default replication factor R (each key has R owners on the ring).
 pub const DEFAULT_REPLICATION: usize = 2;
+
+/// Pacing of the router's owner passes: after a pass over a key's
+/// owners yields no answer, a seeded [`Backoff`] delay precedes the
+/// next pass, up to `max_retries` extra passes.
+#[derive(Clone, Copy, Debug)]
+pub struct RetryPolicy {
+    /// First backoff delay, milliseconds.
+    pub base_ms: u64,
+    /// Backoff ceiling, milliseconds.
+    pub cap_ms: u64,
+    /// Owner passes after the first one.
+    pub max_retries: u32,
+    /// Per-forward socket timeout.
+    pub timeout: Duration,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy { base_ms: 20, cap_ms: 250, max_retries: 4, timeout: client::DEFAULT_TIMEOUT }
+    }
+}
 
 /// Cluster tuning. `Default` is a 3-replica, R=2 ring.
 #[derive(Clone, Debug)]
@@ -81,11 +106,8 @@ pub struct ClusterConfig {
     pub replica: ServeConfig,
     /// Health-checker cadence and probe timeout.
     pub health: HealthConfig,
-    /// Per-forward retry pacing (seeded backoff, `Retry-After` cap).
+    /// Owner-pass retry pacing (seeded backoff) and forward timeout.
     pub retry: RetryPolicy,
-    /// Hedge delay in milliseconds: a GET unanswered for this long is
-    /// also sent to the key's next owner. `None` disables hedging.
-    pub hedge_ms: Option<u64>,
     /// Seed for the retry-jitter streams (combined with the request
     /// index, so each request has its own deterministic stream).
     pub seed: u64,
@@ -107,7 +129,6 @@ impl Default for ClusterConfig {
             replica: ServeConfig::from_env(0),
             health: HealthConfig::default(),
             retry: RetryPolicy::default(),
-            hedge_ms: None,
             seed: 0x5ec1a,
             faults: FaultPlan::none(),
             autoscale: None,
@@ -118,8 +139,8 @@ impl Default for ClusterConfig {
 impl ClusterConfig {
     /// Configuration from the environment: `HEC_CLUSTER_VNODES`,
     /// `HEC_CLUSTER_REPLICATION`, `HEC_CLUSTER_WORKERS`,
-    /// `HEC_CLUSTER_QUEUE`, and `HEC_CLUSTER_HEDGE_MS` override the
-    /// defaults; the per-replica template reads the `HEC_SERVE_*` knobs.
+    /// and `HEC_CLUSTER_QUEUE` override the defaults; the per-replica
+    /// template reads the `HEC_SERVE_*` knobs.
     pub fn from_env(replicas: usize, port: u16) -> ClusterConfig {
         let get = |name: &str, default: usize| -> usize {
             std::env::var(name)
@@ -128,10 +149,6 @@ impl ClusterConfig {
                 .filter(|&v| v > 0)
                 .unwrap_or(default)
         };
-        let hedge_ms = std::env::var("HEC_CLUSTER_HEDGE_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&v| v > 0);
         ClusterConfig {
             replicas: replicas.max(1),
             port,
@@ -139,7 +156,6 @@ impl ClusterConfig {
             replication: get("HEC_CLUSTER_REPLICATION", DEFAULT_REPLICATION),
             workers: get("HEC_CLUSTER_WORKERS", Threads::from_env().workers().max(2)),
             queue: get("HEC_CLUSTER_QUEUE", 64),
-            hedge_ms,
             ..ClusterConfig::default()
         }
     }
@@ -152,7 +168,6 @@ struct RouterState {
     faults: Mutex<FaultPlan>,
     planned_faults: usize,
     retry: RetryPolicy,
-    hedge: Option<Duration>,
     seed: u64,
     started: Instant,
     stop: Arc<ShutdownFlag>,
@@ -165,7 +180,6 @@ struct RouterState {
     rejected: AtomicU64,
     failovers: AtomicU64,
     retries: AtomicU64,
-    hedges: AtomicU64,
     faults_injected: AtomicU64,
     lat_route: Histogram,
     lat_local: Histogram,
@@ -298,35 +312,6 @@ impl RouterState {
             let primary = epoch.ring.primary(&key);
             let candidates = self.candidates(&epoch.ring, &key);
 
-            // Tail-latency hedge: only on a clean first pass (no drops
-            // pending, nothing tried yet) with at least two live owners.
-            if let Some(delay) = self.hedge {
-                if !tried_any && drops.is_empty() && req.method != "POST" {
-                    let live: Vec<(usize, SocketAddr)> = candidates
-                        .iter()
-                        .filter_map(|&r| self.replicas.addr(r).map(|a| (r, a)))
-                        .take(2)
-                        .collect();
-                    if live.len() == 2 {
-                        let urls: Vec<String> = live
-                            .iter()
-                            .map(|(_, a)| format!("http://{a}{}", req.target()))
-                            .collect();
-                        if let Ok(out) = client::hedged_get(&urls, delay, self.retry.timeout) {
-                            if out.hedged {
-                                self.hedges.fetch_add(1, Ordering::Relaxed);
-                            }
-                            if out.response.status != 503 {
-                                let (r, _) = live[out.winner];
-                                return finish(r, out.response, r != primary);
-                            }
-                            shed = Some(out.response);
-                        }
-                        tried_any = true;
-                    }
-                }
-            }
-
             for &r in &candidates {
                 if let Some(pos) = drops.iter().position(|&d| d == r) {
                     // Injected connection drop: consume the event and
@@ -436,7 +421,6 @@ impl RouterState {
             ("rejected", Json::Num(self.rejected.load(Ordering::Relaxed) as f64)),
             ("failovers", Json::Num(self.failovers.load(Ordering::Relaxed) as f64)),
             ("retries", Json::Num(self.retries.load(Ordering::Relaxed) as f64)),
-            ("hedges", Json::Num(self.hedges.load(Ordering::Relaxed) as f64)),
             ("connections", connections_doc(&self.net)),
             ("reactor", reactor_doc(&self.net)),
             (
@@ -693,7 +677,6 @@ pub fn start(cfg: ClusterConfig) -> std::io::Result<Cluster> {
         faults: Mutex::new(cfg.faults),
         planned_faults,
         retry: cfg.retry,
-        hedge: cfg.hedge_ms.map(Duration::from_millis),
         seed: cfg.seed,
         started: Instant::now(),
         stop: Arc::clone(&stop),
@@ -705,7 +688,6 @@ pub fn start(cfg: ClusterConfig) -> std::io::Result<Cluster> {
         rejected: AtomicU64::new(0),
         failovers: AtomicU64::new(0),
         retries: AtomicU64::new(0),
-        hedges: AtomicU64::new(0),
         faults_injected: AtomicU64::new(0),
         lat_route: Histogram::new(),
         lat_local: Histogram::new(),
@@ -842,26 +824,23 @@ mod tests {
     }
 
     #[test]
-    fn hedged_router_still_serves_identical_bytes() {
-        let c = start(ClusterConfig {
-            replicas: 3,
-            hedge_ms: Some(1), // hedge aggressively: exercise the path
-            replica: ServeConfig { port: 0, workers: 2, queue: 16, cache_capacity: 256 },
-            ..ClusterConfig::default()
-        })
-        .unwrap();
+    fn exhausted_retry_budget_answers_503_with_retry_after() {
+        // Every owner dead: each pass fails over through both, the
+        // seeded backoff paces `max_retries` more passes, and only then
+        // does the router answer its own 503.
+        let c = small(2, FaultPlan::none());
         let base = format!("http://{}", c.addr());
-        let point =
-            hec_serve::request::Point::from_query("app=fvcam&platform=power3&procs=256&pz=4")
-                .unwrap();
-        let want = hec_serve::server::point_response_body(&point, point.eval());
-        for _ in 0..5 {
-            let got =
-                client::http_get(&format!("{base}/eval?app=fvcam&platform=power3&procs=256&pz=4"))
-                    .unwrap();
-            assert_eq!(got.status, 200);
-            assert_eq!(got.body, want);
-        }
+        assert!(c.kill_replica(0) && c.kill_replica(1));
+        let t0 = Instant::now();
+        let r = client::http_get(&format!("{base}/eval?app=gtc&platform=es&procs=64")).unwrap();
+        assert!(t0.elapsed() < Duration::from_secs(5), "took {:?}", t0.elapsed());
+        assert_eq!(r.status, 503);
+        assert_eq!(r.retry_after_secs(), Some(1));
+        assert!(r.body.contains("no live owner for key"), "{}", r.body);
+        let m = client::http_get(&format!("{base}/metrics")).unwrap();
+        let doc = Json::parse(&m.body).unwrap();
+        // `small` sets retry.max_retries to 3.
+        assert_eq!(doc.get("retries").unwrap().as_f64().unwrap(), 3.0);
         c.shutdown();
         c.join();
     }

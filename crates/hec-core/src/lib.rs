@@ -11,15 +11,17 @@
 //!   `from_json` via [`json::ToJson`] / [`json::FromJson`]);
 //! * [`sync`] — poison-tolerant `Mutex`/`Condvar` wrappers, replacing
 //!   `parking_lot` (msim ranks unwind through held locks by design);
-//! * [`pool`] — scoped-thread `par_map`/`par_chunks_mut`, replacing
-//!   `rayon` for the OpenMP-style loops of the mini-apps;
+//! * [`pool`] — [`pool::Threads`], a worker-count handle whose
+//!   scoped-thread `par_map`/`par_chunks_mut`/`par_tasks` replace
+//!   `rayon` for the OpenMP-style loops of the mini-apps, and the
+//!   bounded [`pool::WorkerPool`] the serving tier admits requests to;
 //! * [`probe`] — phase-scoped event counters and wall-clock spans: the
 //!   capture layer the kernels and apps report measured workload
 //!   characteristics through (deterministic `u64` event sums, free when
 //!   disabled);
-//! * [`retry`] — seeded exponential backoff with jitter, so the serve
-//!   client and the cluster router retry transient failures on a delay
-//!   sequence tests can replay exactly.
+//! * [`retry`] — seeded exponential backoff with jitter, so the cluster
+//!   router retries transient failures on a delay sequence tests can
+//!   replay exactly.
 //!
 //! Everything is deliberately small: the suite needs determinism and
 //! hermeticity, not feature breadth.

@@ -1,12 +1,13 @@
 //! Deterministic retry pacing: exponential backoff with seeded jitter.
 //!
-//! Distributed callers (the serve client, the cluster router) retry
-//! transient failures — connection refused during a replica restart, a
-//! `503` under load — and the delays between attempts must be jittered
-//! so a fleet of retriers does not stampede in lockstep. Randomized
-//! jitter usually makes such paths untestable; here the jitter stream
-//! comes from [`crate::rng::Rng`], so a seed pins the exact delay
-//! sequence and failover tests replay bit-for-bit.
+//! The cluster router — the serving stack's one retry layer — paces its
+//! passes over a key's owners with this backoff when every owner failed
+//! transiently (connection refused during a replica restart, a `503`
+//! under load). The delays must be jittered so concurrent requests do
+//! not stampede the replicas in lockstep. Randomized jitter usually
+//! makes such paths untestable; here the jitter stream comes from
+//! [`crate::rng::Rng`], so a seed pins the exact delay sequence and
+//! failover tests replay bit-for-bit.
 
 use std::time::Duration;
 

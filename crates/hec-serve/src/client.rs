@@ -18,26 +18,17 @@
 //! failure, or a timeout, surfaces immediately — a timed-out request may
 //! have executed, and masking that would double-execute it.
 //!
-//! On top of the bare [`http_get`]/[`http_post`] pair this module adds
-//! the resilience layer the cluster tier depends on:
-//!
-//! * [`get_with_retry`] — bounded retries on transport failure and on
-//!   `503`, honoring the server's `Retry-After` header (capped), paced
-//!   by the seeded [`hec_core::retry::Backoff`] so tests are
-//!   deterministic;
-//! * [`hedged_get`] — a tail-latency hedge: fire the same request at a
-//!   second URL if the first has not answered within a delay, take
-//!   whichever responds first (safe here because every replica serves
-//!   byte-identical responses).
+//! That one reconnect is the client's only second attempt. It repairs
+//! the connection, not the request: there is no retry policy here. A
+//! `503`, a refused connection or a timeout is returned to the caller
+//! as is; the cluster router's seeded owner-pass backoff is the only
+//! retry layer in the serving stack.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::mpsc;
 use std::time::Duration;
-
-use hec_core::retry::Backoff;
 
 /// Default per-request socket timeout.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(60);
@@ -237,167 +228,6 @@ pub fn http_post_timeout(url: &str, body: &str, timeout: Duration) -> std::io::R
     request("POST", url, Some(body), timeout)
 }
 
-// ---------------------------------------------------------------------
-// Retry
-// ---------------------------------------------------------------------
-
-/// Retry behaviour for [`get_with_retry`].
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// First backoff delay, milliseconds.
-    pub base_ms: u64,
-    /// Backoff ceiling, milliseconds. Also caps an honored `Retry-After`
-    /// (advertised in whole seconds, which would otherwise dominate a
-    /// short closed-loop run).
-    pub cap_ms: u64,
-    /// Retries after the initial attempt.
-    pub max_retries: u32,
-    /// Per-attempt socket timeout.
-    pub timeout: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { base_ms: 20, cap_ms: 250, max_retries: 4, timeout: DEFAULT_TIMEOUT }
-    }
-}
-
-/// Outcome of a retried GET: the final response plus how it was earned.
-#[derive(Clone, Debug)]
-pub struct RetryOutcome {
-    /// The last response received.
-    pub response: Response,
-    /// Total attempts issued (1 = no retry was needed).
-    pub attempts: u32,
-    /// True when the final response is a success (< 400) that took more
-    /// than one attempt — "retried-then-succeeded", which load tooling
-    /// accounts separately from errors.
-    pub retried_ok: bool,
-}
-
-/// GET with bounded, seeded retries.
-///
-/// Transport errors and `503` responses are retried up to
-/// `policy.max_retries` times. A `503` carrying `Retry-After: N` sleeps
-/// `min(N seconds, policy.cap_ms)` — honoring the server's pacing hint
-/// without letting a 1-second hint starve a short run — otherwise the
-/// seeded exponential backoff paces the retry. Every other status
-/// returns immediately: a `400` will not get better by asking again.
-pub fn get_with_retry(url: &str, policy: &RetryPolicy, seed: u64) -> std::io::Result<RetryOutcome> {
-    let mut backoff = Backoff::new(seed, policy.base_ms, policy.cap_ms, policy.max_retries);
-    let mut attempts = 0u32;
-    let mut last_err: Option<std::io::Error> = None;
-    loop {
-        attempts += 1;
-        match request("GET", url, None, policy.timeout) {
-            Ok(resp) if resp.status == 503 => {
-                let hint = resp
-                    .retry_after_secs()
-                    .map(|s| Duration::from_millis((s.saturating_mul(1000)).min(policy.cap_ms)));
-                match backoff.next_delay() {
-                    Some(backoff_delay) => std::thread::sleep(hint.unwrap_or(backoff_delay)),
-                    None => {
-                        return Ok(RetryOutcome { response: resp, attempts, retried_ok: false })
-                    }
-                }
-            }
-            Ok(resp) => {
-                let retried_ok = attempts > 1 && resp.status < 400;
-                return Ok(RetryOutcome { response: resp, attempts, retried_ok });
-            }
-            Err(e) => match backoff.next_delay() {
-                Some(d) => {
-                    last_err = Some(e);
-                    std::thread::sleep(d);
-                }
-                None => return Err(last_err.unwrap_or(e)),
-            },
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Hedging
-// ---------------------------------------------------------------------
-
-/// Result of a hedged GET: the winning response, which URL index won,
-/// and whether the hedge request was actually fired.
-#[derive(Clone, Debug)]
-pub struct HedgedOutcome {
-    /// The first successful response.
-    pub response: Response,
-    /// Index into the `urls` slice of the responder.
-    pub winner: usize,
-    /// True when the hedge (second request) was launched.
-    pub hedged: bool,
-}
-
-/// Tail-latency hedged GET over equivalent URLs.
-///
-/// Fires `urls[0]`; if it has not answered within `hedge_delay`, fires
-/// `urls[1]` too and returns whichever answers first with a transport-
-/// level success. Correct only when every URL serves byte-identical
-/// responses for the request — which is exactly the cluster replica
-/// contract. The losing request is abandoned (its connection closes
-/// when the thread finishes; the server completes it harmlessly).
-pub fn hedged_get(
-    urls: &[String],
-    hedge_delay: Duration,
-    timeout: Duration,
-) -> std::io::Result<HedgedOutcome> {
-    match urls {
-        [] => Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, "no urls to hedge over")),
-        [only] => {
-            let response = http_get_timeout(only, timeout)?;
-            Ok(HedgedOutcome { response, winner: 0, hedged: false })
-        }
-        [primary, hedge, ..] => {
-            let (tx, rx) = mpsc::channel::<(usize, std::io::Result<Response>)>();
-            let spawn = |idx: usize, url: String, tx: mpsc::Sender<_>| {
-                std::thread::spawn(move || {
-                    let _ = tx.send((idx, http_get_timeout(&url, timeout)));
-                })
-            };
-            spawn(0, primary.clone(), tx.clone());
-            let first = match rx.recv_timeout(hedge_delay) {
-                Ok(got) => Some(got),
-                Err(mpsc::RecvTimeoutError::Timeout) => None,
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::BrokenPipe,
-                        "hedge primary vanished",
-                    ))
-                }
-            };
-            match first {
-                Some((idx, Ok(response))) => {
-                    Ok(HedgedOutcome { response, winner: idx, hedged: false })
-                }
-                Some((_, Err(_))) | None => {
-                    // Primary slow or failed: launch the hedge, then take
-                    // the first success from either in arrival order.
-                    let primary_failed = first.is_some();
-                    spawn(1, hedge.clone(), tx.clone());
-                    drop(tx);
-                    let mut last_err: Option<std::io::Error> = None;
-                    while let Ok((idx, result)) = rx.recv() {
-                        match result {
-                            Ok(response) => {
-                                return Ok(HedgedOutcome { response, winner: idx, hedged: true })
-                            }
-                            Err(e) => last_err = Some(e),
-                        }
-                    }
-                    let _ = primary_failed;
-                    Err(last_err.unwrap_or_else(|| {
-                        std::io::Error::new(std::io::ErrorKind::Other, "all hedged requests failed")
-                    }))
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,64 +260,10 @@ mod tests {
     }
 
     #[test]
-    fn get_with_retry_gives_up_against_a_dead_port() {
-        // Nothing listens on this port of TEST-NET; every attempt must
-        // fail fast and the call must return the transport error after
-        // exhausting its budget.
-        let policy = RetryPolicy {
-            base_ms: 1,
-            cap_ms: 2,
-            max_retries: 2,
-            timeout: Duration::from_millis(200),
-        };
-        let t0 = std::time::Instant::now();
-        let r = get_with_retry("http://127.0.0.1:1/healthz", &policy, 9);
-        assert!(r.is_err());
-        assert!(t0.elapsed() < Duration::from_secs(5));
-    }
-
-    #[test]
-    fn retry_after_hint_is_capped_at_cap_ms() {
-        // A server advertising `Retry-After: 60` (seconds) must not
-        // stall the client for a minute per retry: the hint is honored
-        // but clamped to `cap_ms`. Mock listener: always 503.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(mut s) = stream else { break };
-                let mut buf = [0u8; 1024];
-                let _ = std::io::Read::read(&mut s, &mut buf);
-                let _ = s.write_all(
-                    b"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 60\r\n\
-                      Content-Length: 0\r\nConnection: close\r\n\r\n",
-                );
-            }
-        });
-        let policy =
-            RetryPolicy { base_ms: 1, cap_ms: 50, max_retries: 3, timeout: Duration::from_secs(5) };
-        let t0 = std::time::Instant::now();
-        let out = get_with_retry(&format!("http://{addr}/eval"), &policy, 7).unwrap();
-        let elapsed = t0.elapsed();
-        assert_eq!(out.response.status, 503, "budget exhausted, last 503 returned");
-        assert_eq!(out.attempts, 4, "initial attempt + max_retries");
-        assert!(!out.retried_ok);
-        // 3 capped sleeps of exactly 50 ms each — far from 3 x 60 s.
-        assert!(elapsed >= Duration::from_millis(120), "hint ignored? {elapsed:?}");
-        assert!(elapsed < Duration::from_secs(5), "cap not applied: {elapsed:?}");
-        drop(server); // listener thread exits with the test process
-    }
-
-    #[test]
-    fn hedged_get_rejects_empty_url_list() {
-        assert!(hedged_get(&[], Duration::from_millis(1), Duration::from_millis(50)).is_err());
-    }
-
-    #[test]
     fn one_thread_rides_one_keepalive_connection() {
-        // Plain GETs and retried GETs from a single thread must all
-        // reuse the same pooled connection; the server's accepted-count
-        // gauge is the witness.
+        // Sequential GETs from a single thread must all reuse the same
+        // pooled connection; the server's accepted-count gauge is the
+        // witness.
         let s = crate::server::start(crate::server::ServeConfig {
             port: 0,
             workers: 2,
@@ -496,12 +272,9 @@ mod tests {
         })
         .unwrap();
         let base = format!("http://{}", s.addr());
-        for _ in 0..3 {
+        for _ in 0..4 {
             assert_eq!(http_get(&format!("{base}/healthz")).unwrap().status, 200);
         }
-        let out = get_with_retry(&format!("{base}/healthz"), &RetryPolicy::default(), 11).unwrap();
-        assert_eq!(out.response.status, 200);
-        assert_eq!(out.attempts, 1);
         let m = http_get(&format!("{base}/metrics")).unwrap();
         let doc = hec_core::json::Json::parse(&m.body).unwrap();
         let accepted = doc

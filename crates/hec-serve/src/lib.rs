@@ -7,8 +7,8 @@
 //! (`std::net::TcpListener`, no external crates):
 //!
 //! * [`engine`] — the evaluation core: per-(app, platform, concurrency)
-//!   point evaluation plus the Table 3–6 row builders, moved here from
-//!   `bench::experiments` so the service and the CLI share one code path.
+//!   point evaluation plus the Table 3–6 row builders, which the service
+//!   and the `repro` CLI both call, so they share one code path.
 //! * [`request`] — request canonicalization: every way of spelling a
 //!   point (query string, JSON body, platform aliases) collapses to one
 //!   [`request::Point`] whose canonical key is the cache key.
@@ -27,8 +27,8 @@
 //!   graceful shutdown that drains in-flight requests.
 //! * [`client`] — the minimal HTTP/1.1 client the load generator, the
 //!   cluster router, and the e2e tests use, with per-thread keep-alive
-//!   connection reuse, seeded-backoff retries (`Retry-After`-aware) and
-//!   tail-latency request hedging.
+//!   connection reuse. It sends each request once; the only retry layer
+//!   is the cluster router's.
 //! * [`metrics`] — per-endpoint latency histograms and meter export.
 //!
 //! Determinism contract: responses are emitted from ordered JSON objects

@@ -6,6 +6,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace --examples
 cargo test -q --offline --workspace
+# perfbench is a package of its own (outside the workspace) built on the
+# workspace crates' public items: build and test it here, so a removed or
+# renamed public item fails CI before it breaks the benchmark.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo fmt --check
 
 # Regenerate every artifact (tables, canonical responses, profiles,
@@ -44,7 +48,7 @@ for _ in 1 2 3 4 5 6 7 8 9 10; do
     sleep 1
 done
 [ -n "$SERVE_URL" ] || { echo "ci: serve did not come up"; cat "$SERVE_LOG"; exit 1; }
-# loadgen itself exits nonzero on any error response (after retries).
+# loadgen itself exits nonzero on any failed request (each is sent once).
 ( cd "$SMOKE_DIR" && HEC_THREADS=2 "$OLDPWD/target/release/repro" loadgen "$SERVE_URL" 2 4 --rate=400 )
 grep -q '"open_loop": true' "$SMOKE_DIR/BENCH_serve.json" \
     || { echo "ci: serve smoke was not open-loop"; exit 1; }

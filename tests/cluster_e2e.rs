@@ -9,9 +9,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use hec_cluster::{ClusterConfig, FaultPlan, HealthConfig};
+use hec_cluster::{ClusterConfig, FaultPlan, HealthConfig, RetryPolicy};
 use hec_core::json::Json;
-use hec_serve::client::{self, RetryPolicy};
+use hec_serve::client;
 use hec_serve::request::Point;
 use hec_serve::server::{self, ServeConfig};
 
@@ -88,30 +88,23 @@ fn killing_a_replica_mid_load_loses_nothing_and_changes_no_bytes() {
     let ring = hec_cluster::Ring::new(3, hec_cluster::DEFAULT_VNODES, 2);
     let victim = ring.primary(&Point::from_query(&cases[0].0).unwrap().canonical_key());
 
-    // Closed-loop clients re-request the workload until told to stop;
-    // the kill lands while they are in flight, and they keep going
-    // afterwards so post-kill traffic is guaranteed.
+    // Clients re-request the workload until told to stop; the kill
+    // lands while they are in flight, and they keep going afterwards so
+    // post-kill traffic is guaranteed. Each request is sent once: the
+    // router's failover alone must absorb the kill.
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let handles: Vec<_> = (0..4)
         .map(|t| {
             let (base, cases, stop) = (base.clone(), Arc::clone(&cases), Arc::clone(&stop));
             std::thread::spawn(move || {
-                let policy = RetryPolicy {
-                    base_ms: 5,
-                    cap_ms: 50,
-                    max_retries: 6,
-                    timeout: Duration::from_secs(10),
-                };
                 let mut failures = 0u64;
                 let mut round = 0u64;
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    for (k, (query, want)) in cases.iter().enumerate() {
-                        let url = format!("{base}/eval?{query}");
-                        let seed = (t as u64) << 32 ^ (round * 100 + k as u64);
-                        match client::get_with_retry(&url, &policy, seed) {
-                            Ok(out) if out.response.status == 200 => {
+                    for (query, want) in cases.iter() {
+                        match client::http_get(&format!("{base}/eval?{query}")) {
+                            Ok(r) if r.status == 200 => {
                                 assert_eq!(
-                                    out.response.body, *want,
+                                    r.body, *want,
                                     "bytes drifted for {query} (thread {t}, round {round})"
                                 );
                             }
@@ -153,17 +146,15 @@ fn seeded_fault_plan_preserves_bytes_and_loses_nothing() {
     let c = hec_cluster::start(cluster_cfg(3, plan)).unwrap();
     let base = format!("http://{}", c.addr());
     let cases = expected_bodies();
-    let policy =
-        RetryPolicy { base_ms: 5, cap_ms: 50, max_retries: 6, timeout: Duration::from_secs(10) };
 
     // Sequential requests: admitted-request indices advance 0,1,2,… so
     // the plan's horizon (40) is fully crossed and every event fires.
     for i in 0..56u64 {
         let (query, want) = &cases[(i as usize) % cases.len()];
-        let out = client::get_with_retry(&format!("{base}/eval?{query}"), &policy, i)
+        let r = client::http_get(&format!("{base}/eval?{query}"))
             .unwrap_or_else(|e| panic!("request {i} ({query}) failed in transport: {e}"));
-        assert_eq!(out.response.status, 200, "request {i} ({query}) -> {}", out.response.status);
-        assert_eq!(out.response.body, *want, "request {i}: bytes drifted under faults");
+        assert_eq!(r.status, 200, "request {i} ({query}) -> {}", r.status);
+        assert_eq!(r.body, *want, "request {i}: bytes drifted under faults");
     }
     assert_eq!(
         metric(&base, &["faults", "remaining"]),

@@ -10,11 +10,11 @@
 use std::time::Duration;
 
 use hec_cluster::{
-    owners_diff, stable_hash, AutoscaleConfig, ClusterConfig, FaultPlan, HealthConfig, Ring,
-    DEFAULT_VNODES,
+    owners_diff, stable_hash, AutoscaleConfig, ClusterConfig, FaultPlan, HealthConfig, RetryPolicy,
+    Ring, DEFAULT_VNODES,
 };
 use hec_core::json::Json;
-use hec_serve::client::{self, RetryPolicy};
+use hec_serve::client;
 use hec_serve::request::Point;
 use hec_serve::server::{self, ServeConfig};
 
@@ -120,17 +120,15 @@ fn seeded_churn_plan_loses_nothing_and_moves_exactly_the_predicted_keys() {
     let c = hec_cluster::start(cluster_cfg(2, plan)).unwrap();
     let base = format!("http://{}", c.addr());
     let cases = expected_bodies();
-    let policy =
-        RetryPolicy { base_ms: 5, cap_ms: 50, max_retries: 6, timeout: Duration::from_secs(10) };
 
     // Sequential requests advance the admitted index 0,1,2,…: the whole
     // workload is tracked by index 8, well before the first flip at 24.
     for i in 0..64u64 {
         let (query, want) = &cases[(i as usize) % cases.len()];
-        let out = client::get_with_retry(&format!("{base}/eval?{query}"), &policy, i)
+        let r = client::http_get(&format!("{base}/eval?{query}"))
             .unwrap_or_else(|e| panic!("request {i} ({query}) failed in transport: {e}"));
-        assert_eq!(out.response.status, 200, "request {i} ({query})");
-        assert_eq!(out.response.body, *want, "request {i}: bytes drifted under churn");
+        assert_eq!(r.status, 200, "request {i} ({query})");
+        assert_eq!(r.body, *want, "request {i}: bytes drifted under churn");
     }
 
     assert_eq!(metric(&base, &["errors"]), 0.0, "churn must admit zero errors");

@@ -1,7 +1,7 @@
 //! End-to-end tests for the serve subsystem (ISSUE 4): a real listener
 //! on an ephemeral port, concurrent clients, and the three contracts —
 //! (i) served responses are bytewise identical to direct
-//! `bench::experiments` evaluation, (ii) repeated requests hit the
+//! `hec_serve::engine` evaluation, (ii) repeated requests hit the
 //! cache (observed through `/metrics`), (iii) queue-full yields 503
 //! without dropping in-flight work.
 
@@ -93,7 +93,8 @@ fn served_points_match_in_process_evaluation_bytewise() {
 }
 
 /// (i) continued: a served sweep carries exactly the numbers of the
-/// direct `bench::experiments` row set, cell for cell, bit for bit.
+/// direct `hec_serve::engine` row set (the rows `repro` prints), cell
+/// for cell, bit for bit.
 #[test]
 fn served_sweep_matches_bench_experiments_rows_exactly() {
     let s = start(2, 32);
@@ -105,9 +106,9 @@ fn served_sweep_matches_bench_experiments_rows_exactly() {
     let want = server::sweep_response_body(AppId::Gtc, |p| p.eval());
     assert_eq!(resp.body, want, "sweep bytes differ from in-process rendering");
     // And numerically: the JSON numbers round-trip to the exact f64s of
-    // bench::experiments::gtc_rows() (shortest-form emission re-parses
+    // hec_serve::engine::gtc_rows() (shortest-form emission re-parses
     // to the identical bits).
-    let rows = bench::experiments::gtc_rows();
+    let rows = hec_serve::engine::gtc_rows();
     let doc = Json::parse(&resp.body).unwrap();
     let jrows = doc.get("rows").and_then(|r| r.as_arr()).unwrap();
     assert_eq!(jrows.len(), rows.len());

@@ -3,12 +3,13 @@
 //! platform ordering and bounded multiplicative error — plus the paper's
 //! qualitative claims.
 
-use bench::{experiments, validate};
+use bench::validate;
+use hec_serve::engine;
 use report::paper;
 
 #[test]
 fn table3_fvcam_shape_holds() {
-    let shape = validate::compare(&experiments::fvcam_rows(), &paper::table3());
+    let shape = validate::compare(&engine::fvcam_rows(), &paper::table3());
     assert!(shape.rows >= 12, "rows matched: {}", shape.rows);
     assert!(shape.ordering >= 0.9, "ordering agreement {:.2}", shape.ordering);
     assert!(shape.factor < 2.5, "typical factor {:.2}", shape.factor);
@@ -16,7 +17,7 @@ fn table3_fvcam_shape_holds() {
 
 #[test]
 fn table4_gtc_shape_holds() {
-    let shape = validate::compare(&experiments::gtc_rows(), &paper::table4());
+    let shape = validate::compare(&engine::gtc_rows(), &paper::table4());
     assert_eq!(shape.rows, 6);
     assert!(shape.ordering >= 0.9, "ordering agreement {:.2}", shape.ordering);
     assert!(shape.factor < 2.0, "typical factor {:.2}", shape.factor);
@@ -24,7 +25,7 @@ fn table4_gtc_shape_holds() {
 
 #[test]
 fn table5_lbmhd_shape_holds() {
-    let shape = validate::compare(&experiments::lbmhd_rows(), &paper::table5());
+    let shape = validate::compare(&engine::lbmhd_rows(), &paper::table5());
     assert_eq!(shape.rows, 6);
     assert!(shape.ordering >= 0.9, "ordering agreement {:.2}", shape.ordering);
     assert!(shape.factor < 2.0, "typical factor {:.2}", shape.factor);
@@ -32,7 +33,7 @@ fn table5_lbmhd_shape_holds() {
 
 #[test]
 fn table6_paratec_shape_holds() {
-    let shape = validate::compare(&experiments::paratec_rows(), &paper::table6());
+    let shape = validate::compare(&engine::paratec_rows(), &paper::table6());
     assert_eq!(shape.rows, 6);
     assert!(shape.ordering >= 0.9, "ordering agreement {:.2}", shape.ordering);
     assert!(shape.factor < 2.0, "typical factor {:.2}", shape.factor);
@@ -45,7 +46,7 @@ fn headline_claims_hold() {
     let idx = |name: &str| paper::PLATFORMS.iter().position(|p| *p == name).unwrap();
     let (es, sx8, power3, itanium2, opteron) =
         (idx("ES"), idx("SX-8"), idx("Power3"), idx("Itanium2"), idx("Opteron"));
-    for rows in [experiments::gtc_rows(), experiments::lbmhd_rows()] {
+    for rows in [engine::gtc_rows(), engine::lbmhd_rows()] {
         for r in &rows {
             let g = |i: usize| r.cells[i].map(|c| c.gflops).unwrap_or(0.0);
             for scalar in [power3, itanium2, opteron] {
@@ -60,7 +61,7 @@ fn headline_claims_hold() {
 
     // "The SX-8 does achieve the highest per-processor performance for
     // LBMHD3D, GTC, and PARATEC."
-    for rows in [experiments::lbmhd_rows(), experiments::gtc_rows(), experiments::paratec_rows()] {
+    for rows in [engine::lbmhd_rows(), engine::gtc_rows(), engine::paratec_rows()] {
         let r = &rows[0];
         let sx8_g = r.cells[sx8].unwrap().gflops;
         for (i, c) in r.cells.iter().enumerate() {
@@ -77,7 +78,7 @@ fn headline_claims_hold() {
     // X1 4-SSP column is excluded: our model overestimates SSP-mode
     // efficiency (a documented deviation — see EXPERIMENTS.md), and the
     // paper's claim concerns whole machines.
-    for rows in [experiments::lbmhd_rows(), experiments::gtc_rows()] {
+    for rows in [engine::lbmhd_rows(), engine::gtc_rows()] {
         let r = &rows[0];
         let es_pct = r.cells[es].unwrap().pct_peak;
         for (i, c) in r.cells.iter().enumerate() {
@@ -92,11 +93,11 @@ fn headline_claims_hold() {
 
     // Opteron dramatically outperforms Itanium2 for GTC and LBMHD3D
     // (paper §7), while the situation reverses for PARATEC.
-    let gtc = &experiments::gtc_rows()[0];
+    let gtc = &engine::gtc_rows()[0];
     assert!(gtc.cells[opteron].unwrap().gflops > gtc.cells[itanium2].unwrap().gflops);
-    let lb = &experiments::lbmhd_rows()[0];
+    let lb = &engine::lbmhd_rows()[0];
     assert!(lb.cells[opteron].unwrap().gflops > lb.cells[itanium2].unwrap().gflops);
-    let pt = &experiments::paratec_rows()[2];
+    let pt = &engine::paratec_rows()[2];
     assert!(pt.cells[itanium2].unwrap().gflops > pt.cells[opteron].unwrap().gflops);
 }
 
@@ -104,7 +105,7 @@ fn headline_claims_hold() {
 fn fixed_size_problems_lose_percent_of_peak_with_concurrency() {
     // FVCAM (fixed D mesh) and PARATEC (fixed cell): %peak declines as P
     // grows on every platform with data at both ends.
-    let fv = experiments::fvcam_rows();
+    let fv = engine::fvcam_rows();
     let first = fv.iter().find(|r| r.procs == 128 && r.label.contains("Pz=4")).unwrap();
     let last = fv.iter().find(|r| r.procs == 512 && r.label.contains("Pz=4")).unwrap();
     for i in 0..7 {
@@ -112,7 +113,7 @@ fn fixed_size_problems_lose_percent_of_peak_with_concurrency() {
             assert!(b.pct_peak < a.pct_peak * 1.05, "FVCAM %peak must fall (col {i})");
         }
     }
-    let pt = experiments::paratec_rows();
+    let pt = engine::paratec_rows();
     for i in [0usize, 1, 5] {
         let a = pt[1].cells[i].unwrap().pct_peak; // P=128
         let b = pt[5].cells[i].unwrap().pct_peak; // P=2048
@@ -123,7 +124,7 @@ fn fixed_size_problems_lose_percent_of_peak_with_concurrency() {
 #[test]
 fn fig4_speedup_reaches_thousands_of_simulated_days() {
     // The paper: >4200 simulated days/day on 672 X1E processors.
-    let rows = experiments::fvcam_rows();
+    let rows = engine::fvcam_rows();
     let r = rows.iter().find(|r| r.procs == 672).unwrap();
     let x1e = r.cells[4].unwrap(); // X1E sits in the 4-SSP slot for FVCAM
     let sim_days =
