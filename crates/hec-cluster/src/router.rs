@@ -564,7 +564,6 @@ impl CoreEvents for RouterEvents {
         self.0.requests.fetch_add(1, Ordering::Relaxed);
     }
     fn on_reject(&self) {
-        self.0.requests.fetch_add(1, Ordering::Relaxed);
         self.0.rejected.fetch_add(1, Ordering::Relaxed);
         self.0.errors.fetch_add(1, Ordering::Relaxed);
     }

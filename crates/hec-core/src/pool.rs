@@ -16,6 +16,8 @@
 
 use std::num::NonZeroUsize;
 
+use crate::probe;
+
 /// Below this many items `par_map` runs inline on the caller: the
 /// per-thread spawn cost (~10 µs) dwarfs any conceivable win on a
 /// handful of cheap elements, and the small-problem bench cases must not
@@ -108,25 +110,11 @@ impl Threads {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let workers = self.workers.min(items.len());
-        if workers <= 1 || items.len() < SERIAL_CUTOFF {
+        if items.len() < SERIAL_CUTOFF {
             return items.iter().map(f).collect();
         }
-        let chunk = items.len().div_ceil(workers);
-        let mut parts: Vec<Vec<R>> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .map(|c| scope.spawn(|| c.iter().map(&f).collect::<Vec<R>>()))
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(v) => parts.push(v),
-                    Err(p) => std::panic::resume_unwind(p),
-                }
-            }
-        });
-        parts.into_iter().flatten().collect()
+        let f = &f;
+        self.par_tasks(items.iter().map(|x| move || f(x)).collect())
     }
 
     /// Splits `data` into chunks of at most `chunk_len` elements and
@@ -144,33 +132,10 @@ impl Threads {
         F: Fn(usize, &mut [T]) + Sync,
     {
         assert!(chunk_len > 0, "chunk_len must be positive");
-        let mut chunks: Vec<(usize, &mut [T])> = data.chunks_mut(chunk_len).enumerate().collect();
-        let workers = self.workers.min(chunks.len());
-        if workers <= 1 {
-            for (i, c) in chunks {
-                f(i, c);
-            }
-            return;
-        }
-        let per = chunks.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            while !chunks.is_empty() {
-                let take = per.min(chunks.len());
-                let group: Vec<(usize, &mut [T])> = chunks.drain(..take).collect();
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    for (i, c) in group {
-                        f(i, c);
-                    }
-                }));
-            }
-            for h in handles {
-                if let Err(p) = h.join() {
-                    std::panic::resume_unwind(p);
-                }
-            }
-        });
+        let f = &f;
+        self.par_tasks(
+            data.chunks_mut(chunk_len).enumerate().map(|(i, c)| move || f(i, c)).collect(),
+        );
     }
 
     /// Runs a small set of heavyweight, independent closures and returns
@@ -178,7 +143,10 @@ impl Threads {
     /// is no item-count cutoff: each task is assumed to be worth a
     /// thread (e.g. one private charge-grid scatter, one Poisson
     /// plane). Tasks are grouped contiguously onto at most `workers`
-    /// threads; worker panics resurface on the caller.
+    /// threads, `ceil(tasks / workers)` to a thread; worker panics
+    /// resurface on the caller. Every parallel loop of [`Threads`] spawns
+    /// here, and each worker enters the caller's [`probe::Context`], so a
+    /// capture open on the caller counts the work of every worker.
     pub fn par_tasks<T, F>(&self, tasks: Vec<F>) -> Vec<T>
     where
         T: Send,
@@ -191,12 +159,15 @@ impl Threads {
         let per = tasks.len().div_ceil(workers);
         let mut tasks = tasks;
         let mut parts: Vec<Vec<T>> = Vec::with_capacity(workers);
+        let ctx = &probe::context();
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
             while !tasks.is_empty() {
                 let take = per.min(tasks.len());
                 let group: Vec<F> = tasks.drain(..take).collect();
-                handles.push(scope.spawn(move || group.into_iter().map(|t| t()).collect()));
+                handles.push(
+                    scope.spawn(move || ctx.enter(|| group.into_iter().map(|t| t()).collect())),
+                );
             }
             for h in handles {
                 match h.join() {

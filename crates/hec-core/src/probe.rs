@@ -17,18 +17,24 @@
 //!    was chunked across workers. Wall-clock spans are kept in a separate
 //!    table ([`Capture::timings`]) and are explicitly outside the
 //!    determinism contract.
-//! 2. **Disabled ⇒ free.** Probes check one relaxed atomic load and
-//!    return; no locks are touched and no state is created. Counting
-//!    happens at phase/bulk granularity (once per kernel call or per
-//!    fixed-size chunk), never per element, so the enabled path is cheap
-//!    too.
-//! 3. **Captures are exclusive.** [`capture`] serializes on a global
-//!    session lock: concurrent test threads each see only their own
-//!    events. Captures must not nest (the second would deadlock).
+//! 2. **Disabled ⇒ free.** Outside a capture a probe reads one
+//!    thread-local and returns; no locks are touched and no state is
+//!    created. Counting happens at phase/bulk granularity (once per
+//!    kernel call or per fixed-size chunk), never per element, so the
+//!    enabled path is cheap too.
+//! 3. **A capture owns its events.** [`capture`] installs a fresh sink on
+//!    the calling thread. The spawn points that instrumented code runs on
+//!    (`pool::Threads` workers and msim rank threads) carry it to the
+//!    threads they start through [`Context::enter`]; any other thread
+//!    records nothing into it, even while the capture is open. Captures
+//!    on different threads run concurrently without sharing a lock or a
+//!    counter. A nested capture returns only the events of its own
+//!    closure, and those do not reach the enclosing capture.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::panic::AssertUnwindSafe;
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::json::{FromJson, Json, JsonError, ToJson};
@@ -155,40 +161,37 @@ impl FromJson for SpanStat {
     }
 }
 
-struct Registry {
-    counters: Mutex<BTreeMap<String, Counters>>,
-    timings: Mutex<BTreeMap<String, SpanStat>>,
-    session: Mutex<()>,
+/// Where one capture's events land: shared by every thread the capture
+/// carries its [`Context`] to.
+type Sink = Arc<Mutex<Capture>>;
+
+thread_local! {
+    static SINK: RefCell<Option<Sink>> = const { RefCell::new(None) };
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Registry {
-        counters: Mutex::new(BTreeMap::new()),
-        timings: Mutex::new(BTreeMap::new()),
-        session: Mutex::new(()),
-    })
+/// Runs `f` on the calling thread's sink, if it has one.
+#[inline]
+fn with_sink(f: impl FnOnce(&mut Capture)) {
+    SINK.with(|s| {
+        if let Some(sink) = &*s.borrow() {
+            f(&mut sink.lock());
+        }
+    });
 }
 
-/// True while a [`capture`] is in flight. Instrumented code should call
-/// this (or just [`count`], which checks internally) — one relaxed
-/// atomic load when disabled.
+/// True while the calling thread records into a [`capture`].
+/// Instrumented code should call this (or just [`count`], which checks
+/// internally) — one thread-local read outside a capture.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    SINK.with(|s| s.borrow().is_some())
 }
 
-/// Adds `c` to the running totals of `phase`. A no-op (no locks, no
-/// allocation, no state) unless a capture is active.
+/// Adds `c` to the running totals of `phase` in the calling thread's
+/// capture. A no-op (no locks, no allocation, no state) outside one.
 #[inline]
 pub fn count(phase: &str, c: Counters) {
-    if !enabled() {
-        return;
-    }
-    let mut map = registry().counters.lock();
-    map.entry(phase.to_string()).or_default().merge(&c);
+    with_sink(|cap| cap.counters.entry(phase.to_string()).or_default().merge(&c));
 }
 
 /// An RAII wall-clock span: created by [`span`], records elapsed time
@@ -200,13 +203,12 @@ pub struct Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some((phase, start)) = self.phase.take() {
-            if enabled() {
-                let ns = start.elapsed().as_nanos() as u64;
-                let mut map = registry().timings.lock();
-                let s = map.entry(phase.to_string()).or_default();
+            let ns = start.elapsed().as_nanos() as u64;
+            with_sink(|cap| {
+                let s = cap.timings.entry(phase.to_string()).or_default();
                 s.total_ns += ns;
                 s.calls += 1;
-            }
+            });
         }
     }
 }
@@ -219,6 +221,28 @@ pub fn span(phase: &'static str) -> Span {
         return Span { phase: None };
     }
     Span { phase: Some((phase, Instant::now())) }
+}
+
+/// The calling thread's capture, as a value a spawn point hands to the
+/// threads it starts (see [`Context::enter`]). Outside a capture it is
+/// empty, and entering it leaves a thread uncounted.
+#[derive(Clone)]
+pub struct Context(Option<Sink>);
+
+/// The calling thread's [`Context`].
+pub fn context() -> Context {
+    SINK.with(|s| Context(s.borrow().clone()))
+}
+
+impl Context {
+    /// Runs `f` with this context installed on the calling thread, then
+    /// restores the thread's previous one, also when `f` unwinds.
+    pub fn enter<T>(&self, f: impl FnOnce() -> T) -> T {
+        let prev = SINK.with(|s| s.replace(self.0.clone()));
+        let out = std::panic::catch_unwind(AssertUnwindSafe(f));
+        SINK.with(|s| *s.borrow_mut() = prev);
+        out.unwrap_or_else(|p| std::panic::resume_unwind(p))
+    }
 }
 
 /// A snapshot of everything counted during one [`capture`] run.
@@ -289,116 +313,19 @@ impl FromJson for Capture {
 /// Runs `f` with probes enabled and returns its result together with the
 /// capture of everything counted while it ran.
 ///
-/// Captures are serialized process-wide (concurrent callers queue on a
-/// session lock), so parallel test threads never see each other's
-/// events. Captures must not nest — a nested call deadlocks by design
-/// rather than silently merging two scopes.
+/// The capture records the calling thread and the threads its spawn
+/// points start (rule 3); a nested capture takes its own events and
+/// hands none to the outer one.
 pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Capture) {
-    let reg = registry();
-    let _session = reg.session.lock();
-    reg.counters.lock().clear();
-    reg.timings.lock().clear();
-    ENABLED.store(true, Ordering::SeqCst);
-    // Disable even if `f` unwinds, so a failed capture cannot leak an
-    // enabled probe state into unrelated code.
-    struct DisableOnDrop;
-    impl Drop for DisableOnDrop {
-        fn drop(&mut self) {
-            ENABLED.store(false, Ordering::SeqCst);
-        }
-    }
-    let guard = DisableOnDrop;
-    let out = f();
-    drop(guard);
-    let cap = Capture {
-        counters: std::mem::take(&mut *reg.counters.lock()),
-        timings: std::mem::take(&mut *reg.timings.lock()),
-    };
+    let sink = Sink::default();
+    let out = Context(Some(Arc::clone(&sink))).enter(f);
+    let cap = std::mem::take(&mut *sink.lock());
     (out, cap)
-}
-
-/// An always-on cumulative counter for service observability.
-///
-/// Unlike the capture-scoped phase counters above — which are part of the
-/// determinism contract and only record inside [`capture`] — meters record
-/// unconditionally for the life of the process. They exist for `/metrics`
-/// style export (request counts, cache hits, queue rejections) and are
-/// explicitly *outside* the bitwise-reproducibility contract.
-#[derive(Clone)]
-pub struct Meter {
-    cell: std::sync::Arc<AtomicU64>,
-}
-
-impl Meter {
-    /// Adds `delta` to the meter.
-    pub fn add(&self, delta: u64) {
-        self.cell.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Adds one to the meter.
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Current cumulative value.
-    pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-}
-
-fn meter_registry() -> &'static Mutex<BTreeMap<String, std::sync::Arc<AtomicU64>>> {
-    static METERS: OnceLock<Mutex<BTreeMap<String, std::sync::Arc<AtomicU64>>>> = OnceLock::new();
-    METERS.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// Returns the process-wide meter named `name`, creating it at zero on
-/// first use. Handles are cheap clones of one shared cell, so two callers
-/// asking for the same name always observe the same count.
-pub fn meter(name: &str) -> Meter {
-    let mut reg = meter_registry().lock();
-    let cell =
-        reg.entry(name.to_string()).or_insert_with(|| std::sync::Arc::new(AtomicU64::new(0)));
-    Meter { cell: std::sync::Arc::clone(cell) }
-}
-
-/// Snapshot of every meter, sorted by name for deterministic export.
-pub fn meters() -> Vec<(String, u64)> {
-    meter_registry()
-        .lock()
-        .iter()
-        .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn meters_accumulate_and_share_by_name() {
-        let a = meter("probe.test.shared");
-        let b = meter("probe.test.shared");
-        let before = a.get();
-        a.incr();
-        b.add(4);
-        assert_eq!(a.get(), before + 5, "same-name handles must share one cell");
-        let snap = meters();
-        let entry = snap.iter().find(|(n, _)| n == "probe.test.shared");
-        assert_eq!(entry.map(|(_, v)| *v), Some(before + 5));
-        let names: Vec<_> = snap.iter().map(|(n, _)| n.clone()).collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted, "meter snapshot must be name-sorted");
-    }
-
-    #[test]
-    fn meters_record_outside_captures() {
-        assert!(!enabled());
-        let m = meter("probe.test.outside");
-        let before = m.get();
-        m.incr();
-        assert_eq!(m.get(), before + 1, "meters must count with probes disabled");
-    }
 
     #[test]
     fn disabled_probes_record_nothing() {
@@ -444,20 +371,23 @@ mod tests {
     #[test]
     fn cross_thread_counts_sum_exactly() {
         let ((), cap) = capture(|| {
+            let ctx = context();
             std::thread::scope(|s| {
                 for _ in 0..4 {
                     s.spawn(|| {
-                        for _ in 0..100 {
-                            count(
-                                "sum",
-                                Counters {
-                                    flops: 3,
-                                    vector_iters: 8,
-                                    vector_loops: 1,
-                                    ..Default::default()
-                                },
-                            );
-                        }
+                        ctx.enter(|| {
+                            for _ in 0..100 {
+                                count(
+                                    "sum",
+                                    Counters {
+                                        flops: 3,
+                                        vector_iters: 8,
+                                        vector_loops: 1,
+                                        ..Default::default()
+                                    },
+                                );
+                            }
+                        })
                     });
                 }
             });
@@ -499,7 +429,6 @@ mod tests {
         });
         assert!(r.is_err());
         assert!(!enabled(), "a panicking capture must still disable probes");
-        // The session lock recovered (poison-tolerant): a new capture works.
         let ((), cap) = capture(|| count("next", Counters { flops: 2, ..Default::default() }));
         assert_eq!(cap.get("next").flops, 2);
     }

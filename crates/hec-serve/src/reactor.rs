@@ -337,12 +337,14 @@ impl Default for NetStats {
     }
 }
 
-/// Service-side counters the core drives; the server maps these onto
-/// probe meters, the router onto its atomics.
+/// Service-side counters the core drives; the server and the router each
+/// map these onto atomics of their own.
 pub trait CoreEvents: Send + Sync {
-    /// A request was parsed and admitted to the worker pool.
+    /// A request was parsed; it goes to the worker pool unless
+    /// [`CoreEvents::on_reject`] follows.
     fn on_request(&self) {}
-    /// A parsed request was shed with `503` because the queue was full.
+    /// The request just counted was shed with `503` because the queue was
+    /// full.
     fn on_reject(&self) {}
     /// A connection sent bytes that failed to parse (answered `400`).
     fn on_bad_request(&self) {}
@@ -566,6 +568,10 @@ fn run_reactor(r: Reactor) {
     let mut fds: Vec<sys::PollFd> = Vec::new();
     // fd slot -> connection token, parallel to `fds` past the fixed slots.
     let mut slots: Vec<u64> = Vec::new();
+    // Set when `accept` fails for a reason other than an empty backlog
+    // (e.g. fd exhaustion). The listener stays readable then, so the next
+    // poll leaves it out and sleeps up to a tick before `accept` retries.
+    let mut accept_paused = false;
 
     loop {
         r.stats.iterations.fetch_add(1, Ordering::Relaxed);
@@ -585,7 +591,7 @@ fn run_reactor(r: Reactor) {
         fds.clear();
         slots.clear();
         fds.push(sys::PollFd { fd: r.wake_rx.as_raw_fd(), events: sys::POLLIN, revents: 0 });
-        let accept_slot = if stopping {
+        let accept_slot = if stopping || std::mem::take(&mut accept_paused) {
             None
         } else {
             fds.push(sys::PollFd { fd: r.listener.as_raw_fd(), events: sys::POLLIN, revents: 0 });
@@ -651,7 +657,10 @@ fn run_reactor(r: Reactor) {
                         }
                         Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                        Err(_) => break,
+                        Err(_) => {
+                            accept_paused = true;
+                            break;
+                        }
                     }
                 }
             }
@@ -782,8 +791,10 @@ fn advance(c: &mut Conn, token: u64, r: &Reactor) {
                     let (code, headers, body) = handler(&req, t0);
                     shared.push(Completion { token, code, headers, body });
                 };
+                // Counted before the job is visible to a worker, so a
+                // `/metrics` request sees itself.
+                r.events.on_request();
                 if r.pool.try_submit(job).is_ok() {
-                    r.events.on_request();
                     c.dispatched = true;
                     return;
                 }

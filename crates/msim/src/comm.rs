@@ -11,6 +11,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use hec_core::probe;
 use hec_core::sync::{Condvar, Mutex};
 
 use crate::traffic::TrafficMatrix;
@@ -296,6 +297,8 @@ where
     let members = Arc::new((0..nprocs).collect::<Vec<_>>());
     let mut results: Vec<Option<T>> = (0..nprocs).map(|_| None).collect();
     let mut failed = Vec::new();
+    // Rank threads record into the caller's probe capture, if one is open.
+    let ctx = &probe::context();
 
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..nprocs)
@@ -312,8 +315,9 @@ where
                         coll_seq: 0,
                         split_seq: 0,
                     };
-                    let result =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
+                    let result = ctx.enter(|| {
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)))
+                    });
                     if result.is_err() {
                         // Poison the world and wake every blocked receive so
                         // sibling ranks unwind instead of deadlocking.

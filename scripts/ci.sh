@@ -5,7 +5,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace --examples
-cargo test -q --offline --workspace
+cargo test -q --offline --workspace --no-fail-fast
 # perfbench is a package of its own (outside the workspace) built on the
 # workspace crates' public items: build and test it here, so a removed or
 # renamed public item fails CI before it breaks the benchmark.

@@ -200,6 +200,62 @@ fn metrics_record_the_down_then_up_transition() {
     c.join();
 }
 
+/// Each in-process replica's own `/metrics` counts only the requests that
+/// reached it: at least everything the router forwarded to it, and beyond
+/// that only health probes, rejections, and the two reads in flight (this
+/// `/metrics` read and one health probe).
+#[test]
+fn each_replica_counts_only_its_own_requests() {
+    let c = hec_cluster::start(cluster_cfg(3, FaultPlan::none())).unwrap();
+    let base = format!("http://{}", c.addr());
+    let cases = Arc::new(expected_bodies());
+    let handles: Vec<_> = (0..4)
+        .map(|_| {
+            let (base, cases) = (base.clone(), Arc::clone(&cases));
+            std::thread::spawn(move || {
+                for _ in 0..2 {
+                    for (query, want) in cases.iter() {
+                        let r = client::http_get(&format!("{base}/eval?{query}")).unwrap();
+                        assert_eq!((r.status, &r.body), (200, want), "{query}");
+                    }
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+
+    let router = Json::parse(&client::http_get(&format!("{base}/metrics")).unwrap().body).unwrap();
+    let Some(Json::Arr(replicas)) = router.get("cluster").and_then(|c| c.get("replicas")) else {
+        panic!("cluster.replicas missing");
+    };
+    assert_eq!(replicas.len(), 3);
+    let mut forwarded_total = 0.0;
+    for (i, rep) in replicas.iter().enumerate() {
+        let num = |doc: &Json, path: &[&str]| {
+            path.iter().fold(doc, |v, p| v.get(p).unwrap_or_else(|| panic!("{path:?}"))).as_f64()
+        };
+        let forwarded = num(rep, &["forwarded"]).unwrap();
+        let addr = rep.get("addr").and_then(|a| a.as_str()).unwrap();
+        let own = Json::parse(&client::http_get(&format!("http://{addr}/metrics")).unwrap().body)
+            .unwrap();
+        let requests = num(&own, &["requests"]).unwrap();
+        assert_eq!(num(&own, &["meters", "serve.requests"]), Some(requests), "replica {i}");
+        let other = num(&own, &["latency", "other", "count"]).unwrap();
+        let rejected = num(&own, &["rejected"]).unwrap();
+        assert!(
+            forwarded <= requests && requests <= forwarded + other + rejected + 2.0,
+            "replica {i}: forwarded {forwarded}, requests {requests}, other {other}, \
+             rejected {rejected}"
+        );
+        forwarded_total += forwarded;
+    }
+    assert_eq!(forwarded_total, (4 * 2 * cases.len()) as f64, "every request forwarded once");
+    c.shutdown();
+    c.join();
+}
+
 /// The ring assigns every key R distinct owners, so any single kill
 /// leaves a live owner — checked against the routed workload itself.
 #[test]

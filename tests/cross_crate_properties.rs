@@ -6,6 +6,7 @@
 //! the printed seed without a shrinker.
 
 use hec_core::pool::Threads;
+use hec_core::probe;
 use hec_core::Rng;
 use kernels::blas::{dgemm, dgemm_reference};
 use kernels::fft::{dft_reference, Direction, FftPlan};
@@ -530,8 +531,6 @@ fn lbmhd_halo_traffic_matrix_is_symmetric() {
 /// the events of its own closure.
 #[test]
 fn probe_counters_do_not_leak_outside_a_capture() {
-    use hec_core::probe;
-
     assert!(!probe::enabled());
     // Instrumented work with no capture in flight: every probe is a no-op.
     let params =
@@ -570,8 +569,6 @@ fn probe_counters_do_not_leak_outside_a_capture() {
 /// never do).
 #[test]
 fn captures_are_bitwise_invariant_across_worker_counts() {
-    use hec_core::probe;
-
     let run = |workers: usize| {
         let ((), cap) = probe::capture(|| {
             let params = gtc::sim::GtcParams {
@@ -599,6 +596,100 @@ fn captures_are_bitwise_invariant_across_worker_counts() {
     for workers in [2usize, 4] {
         assert_eq!(run(workers), reference, "counters changed with {workers} workers");
     }
+}
+
+/// Per-phase counters of one GTC step on 2 ranks × `workers` workers.
+fn gtc_step_capture(workers: usize) -> std::collections::BTreeMap<String, probe::Counters> {
+    let params = gtc::sim::GtcParams {
+        particles_per_domain: 300,
+        ndomains: 2,
+        threads: workers,
+        ..Default::default()
+    };
+    let ((), cap) = probe::capture(|| {
+        msim::run(2, move |world| gtc::sim::GtcSim::new(params, world).step(world)).unwrap();
+    });
+    cap.deterministic().clone()
+}
+
+/// Per-phase counters of one LBMHD step on 2 ranks × `workers` workers.
+fn lbmhd_step_capture(workers: usize) -> std::collections::BTreeMap<String, probe::Counters> {
+    let p = lbmhd::sim::SimParams { n: 6, threads: workers, ..Default::default() };
+    let ((), cap) = probe::capture(|| {
+        msim::run(2, move |comm| {
+            lbmhd::sim::Simulation::new(p, comm.rank(), comm.size()).step(comm);
+        })
+        .unwrap();
+    });
+    cap.deterministic().clone()
+}
+
+/// Captures on different threads are independent: a GTC and an LBMHD
+/// capture running at the same time, each over threaded ranks, record
+/// exactly what each records alone, and neither sees the other's phases.
+#[test]
+fn concurrent_captures_are_isolated() {
+    let (gtc_ref, lbmhd_ref) = (gtc_step_capture(1), lbmhd_step_capture(1));
+    assert!(gtc_ref.keys().any(|p| p.starts_with("gtc/")));
+    assert!(lbmhd_ref.keys().any(|p| p.starts_with("lbmhd/")));
+    for round in 0..4 {
+        let start = std::sync::Barrier::new(2);
+        let (gtc, lbmhd) = std::thread::scope(|s| {
+            let g = s.spawn(|| {
+                start.wait();
+                gtc_step_capture(2)
+            });
+            let l = s.spawn(|| {
+                start.wait();
+                lbmhd_step_capture(2)
+            });
+            (g.join().unwrap(), l.join().unwrap())
+        });
+        assert!(gtc.keys().all(|p| !p.starts_with("lbmhd/")), "round {round}: {gtc:?}");
+        assert!(lbmhd.keys().all(|p| !p.starts_with("gtc/")), "round {round}: {lbmhd:?}");
+        assert_eq!(gtc, gtc_ref, "round {round}: GTC capture disturbed");
+        assert_eq!(lbmhd, lbmhd_ref, "round {round}: LBMHD capture disturbed");
+    }
+}
+
+/// Only threads started through a spawn point that carries the capture's
+/// context record into it: a bare `std::thread::spawn` during an open
+/// capture counts into nothing.
+#[test]
+fn a_bare_thread_does_not_record_into_an_open_capture() {
+    let one = probe::Counters { flops: 1, ..Default::default() };
+    let ((), cap) = probe::capture(|| {
+        probe::count("own", one);
+        std::thread::spawn(move || {
+            assert!(!probe::enabled());
+            probe::count("bare", one);
+        })
+        .join()
+        .unwrap();
+    });
+    assert_eq!(cap.get("own").flops, 1);
+    assert!(!cap.counters.contains_key("bare"), "{cap:?}");
+}
+
+/// A nested capture returns only its own events, including those of the
+/// threads it starts, and hands none of them to the enclosing capture.
+#[test]
+fn nested_captures_keep_their_own_events() {
+    let one = probe::Counters { flops: 1, ..Default::default() };
+    let (inner, outer) = probe::capture(|| {
+        probe::count("outer", one);
+        let ((), inner) = probe::capture(|| {
+            probe::count("inner", one);
+            Threads::new(2).par_tasks(vec![|| probe::count("inner", one); 2]);
+        });
+        probe::count("outer", one);
+        inner
+    });
+    assert_eq!(inner.get("inner").flops, 3);
+    assert!(!inner.counters.contains_key("outer"), "{inner:?}");
+    assert_eq!(outer.get("outer").flops, 2);
+    assert!(!outer.counters.contains_key("inner"), "{outer:?}");
+    assert!(!probe::enabled());
 }
 
 /// The sphere basis is inversion-symmetric and the balance covers it for
