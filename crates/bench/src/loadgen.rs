@@ -13,9 +13,13 @@
 //! high hit rate.
 //!
 //! Each request is sent once ([`client::http_get`]). A non-`200`
-//! response counts as an error and a transport failure as a
-//! `transport_error`; nothing is retried, so the artifact reports what
-//! the target actually answered.
+//! response counts as an error, and so does a `200` whose body differs
+//! by one byte from the in-process `point_response_body` /
+//! `sweep_response_body` for its URL (computed once, before the run);
+//! a transport failure counts as a `transport_error`. Nothing is
+//! retried, so the artifact reports what the target actually answered,
+//! and every smoke run checks the determinism contract under its load,
+//! kills or churn.
 //!
 //! The target's `/metrics` document decides the output shape: a
 //! document with a `cluster` section means the target is a
@@ -28,6 +32,9 @@ use std::time::{Duration, Instant};
 
 use hec_core::json::Json;
 use hec_serve::client;
+use hec_serve::engine::{self, AppId};
+use hec_serve::request::Point;
+use hec_serve::server::{point_response_body, sweep_response_body};
 use report::latency::{cluster_table, latency_table, ClusterSummary, LatencySummary};
 
 /// Default load duration, seconds.
@@ -101,15 +108,38 @@ pub fn eval_queries() -> Vec<String> {
     qs
 }
 
+/// One request of the mix and the exact body a correct target answers.
+struct Job {
+    class: Class,
+    url: String,
+    body: String,
+}
+
 /// The repeated-request mix: the canonical eval points plus one sweep
-/// per app.
-fn workload(base: &str) -> Vec<(Class, String)> {
-    let mut urls: Vec<(Class, String)> =
-        eval_queries().into_iter().map(|q| (Class::Eval, format!("{base}/eval?{q}"))).collect();
+/// per app, each with its expected body computed in-process once, up
+/// front (the determinism contract: served bytes equal these).
+fn workload(base: &str) -> Vec<Job> {
+    let eval = |p: &Point| engine::eval_cell(p.app, p.sel, &p.spec);
+    let mut jobs: Vec<Job> = eval_queries()
+        .into_iter()
+        .map(|q| {
+            let p = Point::from_query(&q).expect("canonical eval queries parse");
+            Job {
+                class: Class::Eval,
+                url: format!("{base}/eval?{q}"),
+                body: point_response_body(&p, eval(&p)),
+            }
+        })
+        .collect();
     for app in ["gtc", "lbmhd", "paratec", "fvcam"] {
-        urls.push((Class::Sweep, format!("{base}/sweep?app={app}")));
+        let id = AppId::parse(app).expect("canonical sweep apps parse");
+        jobs.push(Job {
+            class: Class::Sweep,
+            url: format!("{base}/sweep?app={app}"),
+            body: sweep_response_body(id, eval),
+        });
     }
-    urls
+    jobs
 }
 
 /// One completed request.
@@ -133,7 +163,7 @@ struct ClientStats {
 /// measure latency from the *scheduled* arrival, so queueing behind a
 /// slow target is charged to the target.
 fn drive_open(base: &str, ol: OpenLoop, secs: u64, clients: usize) -> Vec<ClientStats> {
-    let urls = Arc::new(workload(base));
+    let jobs = Arc::new(workload(base));
     let offsets = arrival_offsets_ns(ol.seed, ol.rate_rps, secs);
     let (tx, rx) = std::sync::mpsc::channel::<(Instant, usize)>();
     // std mpsc is single-consumer; senders share the receiver.
@@ -141,20 +171,22 @@ fn drive_open(base: &str, ol: OpenLoop, secs: u64, clients: usize) -> Vec<Client
     let t0 = Instant::now();
     let senders: Vec<_> = (0..clients.max(1))
         .map(|_| {
-            let (rx, urls) = (Arc::clone(&rx), Arc::clone(&urls));
+            let (rx, jobs) = (Arc::clone(&rx), Arc::clone(&jobs));
             std::thread::spawn(move || {
                 let mut stats = ClientStats { samples: Vec::new(), transport_errors: 0 };
                 loop {
                     let job = rx.lock().unwrap().recv();
                     let Ok((scheduled, idx)) = job else { break };
-                    let (class, url) = &urls[idx];
-                    match client::http_get(url) {
+                    let job = &jobs[idx];
+                    match client::http_get(&job.url) {
                         Ok(resp) => {
                             let us = scheduled.elapsed().as_micros().min(u64::MAX as u128) as u64;
+                            // A 200 with other bytes breaks the contract:
+                            // it counts as an error like any non-200.
                             stats.samples.push(Sample {
-                                class: *class,
+                                class: job.class,
                                 latency_us: us,
-                                ok: resp.status == 200,
+                                ok: resp.status == 200 && resp.body == job.body,
                             });
                         }
                         Err(_) => stats.transport_errors += 1,
@@ -164,7 +196,7 @@ fn drive_open(base: &str, ol: OpenLoop, secs: u64, clients: usize) -> Vec<Client
             })
         })
         .collect();
-    let n = urls.len();
+    let n = jobs.len();
     for (i, off) in offsets.iter().enumerate() {
         let scheduled = t0 + Duration::from_nanos(*off);
         let now = Instant::now();
@@ -452,13 +484,15 @@ mod tests {
 
     #[test]
     fn workload_mix_covers_all_apps_and_both_classes() {
-        let urls = workload("http://h:1");
-        assert!(urls.iter().any(|(c, _)| *c == Class::Sweep));
+        let jobs = workload("http://h:1");
+        assert!(jobs.iter().any(|j| j.class == Class::Sweep));
         for app in ["gtc", "lbmhd", "paratec", "fvcam"] {
-            assert!(urls.iter().any(|(_, u)| u.contains(&format!("app={app}"))), "{app}");
+            assert!(jobs.iter().any(|j| j.url.contains(&format!("app={app}"))), "{app}");
         }
+        // Every job carries the body a correct target must answer.
+        assert!(jobs.iter().all(|j| j.body.starts_with("{\n  \"app\": ")));
         // The mix must repeat points (cache-friendliness is the point).
-        assert!(urls.len() < 64);
+        assert!(jobs.len() < 64);
     }
 
     #[test]

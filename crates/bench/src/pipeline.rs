@@ -71,7 +71,8 @@ pub fn run_all(dir: &str) -> Result<(), String> {
     println!("\n== tables (sweep documents, exact) ==");
     let eval = |p: &Point| engine::eval_cell(p.app, p.sel, &p.spec);
     for app in AppId::ALL {
-        let doc = server::sweep_doc(app, eval);
+        let doc = Json::parse(&server::sweep_response_body(app, eval))
+            .map_err(|e| format!("sweep body for {} is not JSON: {e}", app_tag(app)))?;
         w.write(&format!("TABLE_{}.json", app_tag(app)), [("table", doc)])
             .map_err(|e| format!("cannot write TABLE_{}: {e}", app_tag(app)))?;
     }

@@ -2,8 +2,9 @@
 //!
 //! Each replica has one bit of probed state (up/down) plus transition
 //! counters, updated from two directions: a background checker thread
-//! probes every replica's `/metrics` endpoint with a timeout on a fixed
-//! interval, and the router marks replicas down *reactively* the moment
+//! probes every replica's `/healthz` endpoint with a timeout on a fixed
+//! interval (a liveness check needs an answer, not the full `/metrics`
+//! document), and the router marks replicas down *reactively* the moment
 //! a forward fails (waiting a full probe interval to notice a dead
 //! primary would turn every failover into a timeout). Both paths go
 //! through [`Health::mark`], which counts each up↔down transition —
@@ -183,12 +184,12 @@ impl Health {
     }
 }
 
-/// Probes one replica: a `/metrics` GET within the timeout counts as up.
+/// Probes one replica: a `/healthz` GET within the timeout counts as up.
 /// A down slot (no address) is down without a network round trip.
 pub fn probe(replicas: &ReplicaSet, i: usize, timeout: Duration) -> bool {
     match replicas.addr(i) {
         None => false,
-        Some(addr) => client::http_get_timeout(&format!("http://{addr}/metrics"), timeout)
+        Some(addr) => client::http_get_timeout(&format!("http://{addr}/healthz"), timeout)
             .map(|r| r.status == 200)
             .unwrap_or(false),
     }

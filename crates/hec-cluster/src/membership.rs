@@ -285,11 +285,13 @@ impl Elasticity {
         }
     }
 
-    /// Remembers a routed key and a target that can re-prime it.
-    pub fn track(&self, key: &str, target: &str) {
+    /// Remembers a routed key and a target that can re-prime it. The
+    /// target is built only for a key not tracked yet, so the warm path
+    /// (every key already known) allocates nothing here.
+    pub fn track(&self, key: &str, target: impl FnOnce() -> String) {
         let mut g = self.tracked.lock();
         if g.len() < MAX_TRACKED_KEYS && !g.contains_key(key) {
-            g.insert(key.to_string(), target.to_string());
+            g.insert(key.to_string(), target());
         }
     }
 
@@ -618,7 +620,7 @@ mod tests {
     fn scale_up_and_drain_flip_epochs_and_move_only_changed_keys() {
         let e = elastic(2, None);
         for app in ["gtc", "lbmhd", "fvcam", "paratec"] {
-            e.track(&format!("sweep|{app}"), &format!("/sweep?app={app}"));
+            e.track(&format!("sweep|{app}"), || format!("/sweep?app={app}"));
         }
         let before = e.membership.current();
         assert_eq!(before.version, 0);

@@ -274,7 +274,7 @@ impl RouterState {
         let index = self.admitted.fetch_add(1, Ordering::SeqCst);
         let (mut drops, slow_reply) = self.inject_faults(index);
         let key = self.ring_key(req);
-        self.elasticity.track(&key, &req.target());
+        self.elasticity.track(&key, || req.target());
         self.elasticity.autoscale_tick(index, self.queue.len(), &self.lat_route);
         let mut backoff = Backoff::new(
             self.seed ^ index,

@@ -9,7 +9,7 @@
 //! workspace policy (DESIGN.md §6) is explicit field mapping rather than
 //! derive magic.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum container nesting depth [`Json::parse`] accepts. The parser
 /// recurses per nesting level, so adversarial input (the serve path
@@ -205,7 +205,7 @@ impl Json {
     /// # Errors
     /// Returns [`JsonError`] with a byte offset on malformed input.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -225,18 +225,25 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-fn write_number(out: &mut String, x: f64) {
+/// Appends `x` as a JSON number: Rust's shortest round-trip form, or
+/// `null` when `x` is not finite. The one number format every emitter in
+/// the workspace uses, so a body written field by field matches
+/// [`Json::emit`] byte for byte.
+pub fn write_number(out: &mut String, x: f64) {
     if x.is_finite() {
         // Rust's shortest round-trip formatting; integral values print
-        // without a fraction, like serde_json's integer path.
-        out.push_str(&format!("{x}"));
+        // without a fraction, like serde_json's integer path. Formatted
+        // straight into `out`: no intermediate `String` per number.
+        let _ = write!(out, "{x}");
     } else {
         // JSON has no Inf/NaN; emit null, as serde_json does by default.
         out.push_str("null");
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` as a quoted JSON string with the escapes [`Json::emit`]
+/// uses.
+pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -248,7 +255,7 @@ fn write_escaped(out: &mut String, s: &str) {
             '\u{08}' => out.push_str("\\b"),
             '\u{0c}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -257,6 +264,7 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -428,12 +436,14 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one full UTF-8 scalar from the source.
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = text.chars().next().unwrap();
-                    s.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole run of plain characters at once. The
+                    // run starts and ends next to an ASCII byte, so both
+                    // ends are char boundaries of the source `str`.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
+                    }
+                    s.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -708,6 +718,115 @@ mod tests {
         assert_eq!(v.get("deep").unwrap().get("x").unwrap().as_arr().unwrap().len(), 2);
         assert!(v.field("absent").is_err());
         assert!(v.num_field("name").is_err());
+    }
+
+    /// A random document of depth at most `depth`, with strings that
+    /// need every escape the emitter knows.
+    fn random_doc(rng: &mut crate::rng::Rng, depth: usize) -> Json {
+        const WORDS: [&str; 6] =
+            ["", "gtc", "X1 (MSP)", "quote\" back\\", "tab\t nl\n \u{01}", "é→𝄞"];
+        let pick = if depth == 0 { rng.below(4) } else { rng.below(6) };
+        match pick {
+            0 => Json::Null,
+            1 => Json::Bool(rng.below(2) == 1),
+            2 => Json::Num(rng.normal() * 10f64.powi(rng.below(40) as i32 - 20)),
+            3 => Json::Str(WORDS[rng.below(WORDS.len())].to_string()),
+            4 => Json::Arr((0..rng.below(4)).map(|_| random_doc(rng, depth - 1)).collect()),
+            _ => Json::Obj(
+                (0..rng.below(4))
+                    .map(|i| {
+                        (
+                            format!("{}{i}", WORDS[rng.below(WORDS.len())]),
+                            random_doc(rng, depth - 1),
+                        )
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Parses `text`; whatever it accepts must re-emit to an equal value.
+    fn parse_never_panics(text: &str) {
+        if let Ok(v) = Json::parse(text) {
+            assert_eq!(Json::parse(&v.emit()).unwrap(), v, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn random_text_never_panics_the_parser() {
+        // Characters weighted toward JSON's own syntax, plus multi-byte
+        // scalars, so random text reaches deep into the parser.
+        const ALPHABET: [&str; 24] = [
+            "{", "}", "[", "]", ":", ",", "\"", "\\", "u", "d8", "00", "e", "-", "+", ".", "1",
+            "0", "9", "true", "nul", " ", "\n", "\u{1}", "é",
+        ];
+        let mut rng = crate::rng::Rng::new(0x6a50);
+        for _ in 0..20_000 {
+            let text: String =
+                (0..rng.below(48)).map(|_| ALPHABET[rng.below(ALPHABET.len())]).collect();
+            parse_never_panics(&text);
+        }
+    }
+
+    #[test]
+    fn mutated_documents_never_panic_the_parser() {
+        let mut rng = crate::rng::Rng::new(0x6a51);
+        for _ in 0..2_000 {
+            let doc = random_doc(&mut rng, 4);
+            let text = if rng.below(2) == 0 { doc.emit() } else { doc.emit_pretty() };
+            assert_eq!(Json::parse(&text).unwrap(), doc, "unmutated round trip: {text}");
+            let mut chars: Vec<char> = text.chars().collect();
+            for _ in 0..1 + rng.below(3) {
+                let at = rng.below(chars.len() + 1);
+                match rng.below(4) {
+                    0 if at < chars.len() => {
+                        chars.remove(at);
+                    }
+                    1 => chars.insert(at, ['{', '}', '"', '\\', ',', ':', '1', 'é'][rng.below(8)]),
+                    2 if at < chars.len() => {
+                        chars[at] = ['[', ']', 'n', '-', 'e', '\u{0}'][rng.below(6)]
+                    }
+                    _ => chars.truncate(at),
+                }
+            }
+            parse_never_panics(&chars.into_iter().collect::<String>());
+        }
+    }
+
+    #[test]
+    fn random_nesting_is_rejected_exactly_above_the_depth_limit() {
+        let mut rng = crate::rng::Rng::new(0x6a52);
+        for _ in 0..300 {
+            let depth = 1 + rng.below(2 * MAX_PARSE_DEPTH);
+            let (mut open, mut close) = (String::new(), String::new());
+            for _ in 0..depth {
+                if rng.below(2) == 0 {
+                    open.push('[');
+                    close.insert(0, ']');
+                } else {
+                    open.push_str("{\"k\":");
+                    close.insert(0, '}');
+                }
+            }
+            let text = format!("{open}0{close}");
+            assert_eq!(Json::parse(&text).is_ok(), depth <= MAX_PARSE_DEPTH, "depth {depth}");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // The serve path parses request bodies of up to 64 KiB; a string
+        // that long must cost microseconds, not a rescan per character.
+        let long = "é".repeat(30_000);
+        let doc = Json::parse(&format!("{{\"app\":\"{long}\"}}")).unwrap();
+        assert_eq!(doc.str_field("app").unwrap(), long);
+        let t = std::time::Instant::now();
+        // Twenty parses take milliseconds; a rescan per character made
+        // each one take about 0.1 s in a release build.
+        for _ in 0..20 {
+            Json::parse(&format!("[\"{}\"]", "a".repeat(60_000))).unwrap();
+        }
+        assert!(t.elapsed() < std::time::Duration::from_secs(1), "{:?}", t.elapsed());
     }
 
     #[test]

@@ -18,6 +18,12 @@
 //! failure, or a timeout, surfaces immediately — a timed-out request may
 //! have executed, and masking that would double-execute it.
 //!
+//! A pooled connection remembers the timeout it was last given, so a
+//! request at the same timeout sets no socket option, and the response
+//! is read through a borrow of the socket rather than a `dup` of it: a
+//! request over a warm connection costs one `write` and the `read`s its
+//! response needs.
+//!
 //! That one reconnect is the client's only second attempt. It repairs
 //! the connection, not the request: there is no retry policy here. A
 //! `503`, a refused connection or a timeout is returned to the caller
@@ -78,20 +84,47 @@ fn connect(authority: &str, timeout: Duration) -> std::io::Result<TcpStream> {
     TcpStream::connect_timeout(&addr, timeout)
 }
 
+/// A kept-alive connection and the read/write timeout it already has,
+/// so reuse at the same timeout costs no `setsockopt`.
+struct Pooled {
+    stream: TcpStream,
+    timeout: Duration,
+}
+
+impl Pooled {
+    /// A fresh connection to `authority` with both timeouts set.
+    fn connect(authority: &str, timeout: Duration) -> std::io::Result<Pooled> {
+        let stream = connect(authority, timeout)?;
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
+        Ok(Pooled { stream, timeout })
+    }
+
+    /// Sets both timeouts to `timeout` unless they already are.
+    fn retime(&mut self, timeout: Duration) -> std::io::Result<()> {
+        if self.timeout != timeout {
+            self.stream.set_read_timeout(Some(timeout))?;
+            self.stream.set_write_timeout(Some(timeout))?;
+            self.timeout = timeout;
+        }
+        Ok(())
+    }
+}
+
 thread_local! {
     /// One kept-alive connection per authority, per thread. Dropped with
     /// the thread, which closes the sockets — a load generator's senders
     /// release their connections just by exiting.
-    static KEEPALIVE: RefCell<HashMap<String, TcpStream>> = RefCell::new(HashMap::new());
+    static KEEPALIVE: RefCell<HashMap<String, Pooled>> = RefCell::new(HashMap::new());
 }
 
-fn take_pooled(authority: &str) -> Option<TcpStream> {
+fn take_pooled(authority: &str) -> Option<Pooled> {
     KEEPALIVE.with(|p| p.borrow_mut().remove(authority))
 }
 
-fn park_pooled(authority: &str, stream: TcpStream) {
+fn park_pooled(authority: String, conn: Pooled) {
     KEEPALIVE.with(|p| {
-        p.borrow_mut().insert(authority.to_string(), stream);
+        p.borrow_mut().insert(authority, conn);
     });
 }
 
@@ -113,7 +146,7 @@ fn stale_connection_error(e: &std::io::Error) -> bool {
 /// Returns the response and whether the connection is reusable (the
 /// server answered `Connection: keep-alive` with length-framed body).
 fn exchange(
-    stream: &mut TcpStream,
+    stream: &TcpStream,
     method: &str,
     authority: &str,
     path: &str,
@@ -124,10 +157,11 @@ fn exchange(
         "{method} {path} HTTP/1.1\r\nHost: {authority}\r\nConnection: keep-alive\r\nContent-Length: {}\r\n\r\n{body}",
         body.len(),
     );
+    let mut stream = stream;
     stream.write_all(req.as_bytes())?;
-    stream.flush()?;
 
-    let mut reader = BufReader::new(stream.try_clone()?);
+    // Reads go through a borrow of the same socket: no `dup` per request.
+    let mut reader = BufReader::new(stream);
     let mut status_line = String::new();
     if reader.read_line(&mut status_line)? == 0 {
         return Err(std::io::Error::new(ErrorKind::UnexpectedEof, "connection closed"));
@@ -182,14 +216,12 @@ fn request(
     let (authority, path) = split_url(url)?;
     // Reuse a kept-alive connection when one is parked; if the server
     // half-closed it since, fall through to a fresh connect exactly once.
-    if let Some(mut stream) = take_pooled(&authority) {
-        let ready = stream.set_read_timeout(Some(timeout)).is_ok()
-            && stream.set_write_timeout(Some(timeout)).is_ok();
-        if ready {
-            match exchange(&mut stream, method, &authority, &path, body) {
+    if let Some(mut conn) = take_pooled(&authority) {
+        if conn.retime(timeout).is_ok() {
+            match exchange(&conn.stream, method, &authority, &path, body) {
                 Ok((response, reusable)) => {
                     if reusable {
-                        park_pooled(&authority, stream);
+                        park_pooled(authority, conn);
                     }
                     return Ok(response);
                 }
@@ -198,12 +230,10 @@ fn request(
             }
         }
     }
-    let mut stream = connect(&authority, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let (response, reusable) = exchange(&mut stream, method, &authority, &path, body)?;
+    let conn = Pooled::connect(&authority, timeout)?;
+    let (response, reusable) = exchange(&conn.stream, method, &authority, &path, body)?;
     if reusable {
-        park_pooled(&authority, stream);
+        park_pooled(authority, conn);
     }
     Ok(response)
 }

@@ -26,8 +26,12 @@
 //! a time, buffer capped at [`MAX_REQUEST_BYTES`]) and `POLLOUT` only
 //! while response bytes are pending, so the loop never spins. Workers
 //! push finished responses onto a completion list and wake the reactor
-//! through a loopback socket pair — the same channel `/shutdown` uses —
-//! keeping the whole core on `std` with a single `extern "C"` line.
+//! through a Unix-domain socket pair (loopback TCP where Unix sockets do
+//! not exist) — the same channel `/shutdown` uses — keeping the whole
+//! core on `std` with a single `extern "C"` line. Wakes coalesce: a
+//! worker writes the byte only when none is pending, and the reactor
+//! re-arms before it takes the list, so a batch of completions that
+//! lands between two reactor iterations costs one byte and one read.
 //!
 //! Shutdown drains: accepting stops, idle keep-alive connections close,
 //! dispatched requests complete and their responses flush, then the
@@ -80,6 +84,18 @@ mod sys {
         ) -> core::ffi::c_int;
     }
 
+    /// The completion wake channel: a connected Unix-domain socket pair,
+    /// both ends non-blocking. A byte through it costs a fraction of a
+    /// loopback TCP round trip (no TCP/IP stack on either end).
+    pub type WakeStream = std::os::unix::net::UnixStream;
+
+    pub fn wake_pair() -> io::Result<(WakeStream, WakeStream)> {
+        let (tx, rx) = WakeStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok((tx, rx))
+    }
+
     /// Blocks until some fd is ready or `timeout_ms` elapses; retries
     /// `EINTR` so signals never surface as readiness errors.
     pub fn wait(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
@@ -126,6 +142,18 @@ mod sys {
         pub revents: i16,
     }
 
+    /// Without Unix sockets the wake channel is a loopback TCP pair.
+    pub type WakeStream = std::net::TcpStream;
+
+    pub fn wake_pair() -> io::Result<(WakeStream, WakeStream)> {
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0))?;
+        let tx = WakeStream::connect(listener.local_addr()?)?;
+        let (rx, _) = listener.accept()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok((tx, rx))
+    }
+
     pub fn wait(fds: &mut [PollFd], _timeout_ms: i32) -> io::Result<usize> {
         std::thread::sleep(std::time::Duration::from_millis(1));
         for fd in fds.iter_mut() {
@@ -135,7 +163,7 @@ mod sys {
     }
 }
 
-use sys::AsRawFd;
+use sys::{AsRawFd, WakeStream};
 
 // ---------------------------------------------------------------------
 // Incremental HTTP/1.1 request parsing
@@ -250,16 +278,37 @@ pub fn parse_request(buf: &[u8]) -> Result<Parse, String> {
 
 /// Serializes one response with explicit keep-alive/close framing.
 pub fn emit_response(code: u16, extra_headers: &[String], body: &str, keep_alive: bool) -> Vec<u8> {
-    let mut out = format!(
-        "HTTP/1.1 {code} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n{}\r\n",
+    let mut out = Vec::new();
+    write_response(&mut out, code, extra_headers, body, keep_alive);
+    out
+}
+
+/// Appends [`emit_response`]'s bytes to `out`: one formatted head line
+/// set, the extra headers copied as they are, then the body — no
+/// intermediate buffer. The reactor writes into a connection's own
+/// output buffer this way.
+fn write_response(
+    out: &mut Vec<u8>,
+    code: u16,
+    extra_headers: &[String],
+    body: &str,
+    keep_alive: bool,
+) {
+    let extra: usize = extra_headers.iter().map(|h| h.len() + 2).sum();
+    out.reserve(128 + extra + body.len());
+    let _ = write!(
+        out,
+        "HTTP/1.1 {code} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n",
         status_text(code),
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
-        extra_headers.iter().map(|h| format!("{h}\r\n")).collect::<String>(),
-    )
-    .into_bytes();
+    );
+    for h in extra_headers {
+        out.extend_from_slice(h.as_bytes());
+        out.extend_from_slice(b"\r\n");
+    }
+    out.extend_from_slice(b"\r\n");
     out.extend_from_slice(body.as_bytes());
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -355,7 +404,7 @@ pub trait CoreEvents: Send + Sync {
 /// the wake stream when it binds.
 pub struct ShutdownFlag {
     stop: AtomicBool,
-    waker: Mutex<Option<TcpStream>>,
+    waker: Mutex<Option<WakeStream>>,
 }
 
 impl ShutdownFlag {
@@ -375,7 +424,7 @@ impl ShutdownFlag {
         self.stop.load(Ordering::SeqCst)
     }
 
-    fn install(&self, stream: TcpStream) {
+    fn install(&self, stream: WakeStream) {
         *self.waker.lock() = Some(stream);
     }
 
@@ -403,13 +452,33 @@ struct Completion {
 
 struct Shared {
     completions: Mutex<Vec<Completion>>,
-    wake: TcpStream,
+    wake: WakeStream,
+    /// A wake byte is in flight: the reactor has not yet cleared this
+    /// flag and taken the completion list. Workers finishing meanwhile
+    /// only push, so a burst of completions costs one byte.
+    wake_pending: AtomicBool,
 }
 
 impl Shared {
+    fn new(wake: WakeStream) -> Shared {
+        Shared { completions: Mutex::new(Vec::new()), wake, wake_pending: AtomicBool::new(false) }
+    }
+
+    /// Queues `c` and wakes the reactor unless a wake is already pending.
+    /// No completion is stranded: the reactor clears the flag *before*
+    /// it takes the list, so a push that finds the flag set lands in a
+    /// list the reactor has yet to take.
     fn push(&self, c: Completion) {
         self.completions.lock().push(c);
-        let _ = (&self.wake).write(&[1]);
+        if !self.wake_pending.swap(true, Ordering::SeqCst) {
+            let _ = (&self.wake).write(&[1]);
+        }
+    }
+
+    /// The reactor's side: re-arms the wake, then takes every completion.
+    fn take(&self) -> Vec<Completion> {
+        self.wake_pending.store(false, Ordering::SeqCst);
+        std::mem::take(&mut *self.completions.lock())
     }
 }
 
@@ -463,15 +532,11 @@ pub fn start_core(
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
-    // Wake channel: a loopback socket pair. Workers and shutdown write a
-    // byte; the reactor's poll set includes the read end.
-    let wake_listener = TcpListener::bind(("127.0.0.1", 0))?;
-    let wake_tx = TcpStream::connect(wake_listener.local_addr()?)?;
-    wake_tx.set_nonblocking(true)?;
-    let (wake_rx, _) = wake_listener.accept()?;
-    wake_rx.set_nonblocking(true)?;
+    // Wake channel: workers (one byte per batch of completions) and
+    // shutdown write; the reactor's poll set includes the read end.
+    let (wake_tx, wake_rx) = sys::wake_pair()?;
     stop.install(wake_tx.try_clone()?);
-    let shared = Arc::new(Shared { completions: Mutex::new(Vec::new()), wake: wake_tx });
+    let shared = Arc::new(Shared::new(wake_tx));
 
     let thread = std::thread::spawn(move || {
         run_reactor(Reactor {
@@ -552,7 +617,7 @@ impl Conn {
 
 struct Reactor {
     listener: TcpListener,
-    wake_rx: TcpStream,
+    wake_rx: WakeStream,
     pool: WorkerPool,
     stats: Arc<NetStats>,
     events: Arc<dyn CoreEvents>,
@@ -623,12 +688,12 @@ fn run_reactor(r: Reactor) {
 
         // Deliver finished responses before I/O so a completed request's
         // bytes go out in this same iteration.
-        let finished: Vec<Completion> = std::mem::take(&mut *r.shared.completions.lock());
+        let finished = r.shared.take();
         let mut touched: Vec<u64> = Vec::with_capacity(finished.len());
         for comp in finished {
             let Some(c) = conns.get_mut(&comp.token) else { continue };
             let keep = c.keep_current && !r.stop.stopping();
-            c.out.extend_from_slice(&emit_response(comp.code, &comp.headers, &comp.body, keep));
+            write_response(&mut c.out, comp.code, &comp.headers, &comp.body, keep);
             if !keep {
                 c.close_after_write = true;
             }
@@ -802,19 +867,20 @@ fn advance(c: &mut Conn, token: u64, r: &Reactor) {
                 // connection survives (keep-alive permitting) so the
                 // client's capped-Retry-After retry can land here again.
                 r.events.on_reject();
-                c.out.extend_from_slice(&emit_response(
+                write_response(
+                    &mut c.out,
                     503,
                     &[format!("Retry-After: {RETRY_AFTER_SECS}")],
                     &r.reject_body,
                     keep_alive,
-                ));
+                );
                 if !keep_alive {
                     c.close_after_write = true;
                 }
             }
             Err(msg) => {
                 r.events.on_bad_request();
-                c.out.extend_from_slice(&emit_response(400, &[], &error_body(&msg), false));
+                write_response(&mut c.out, 400, &[], &error_body(&msg), false);
                 c.close_after_write = true;
             }
         }
@@ -889,6 +955,128 @@ mod tests {
             format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_REQUEST_BYTES + 1);
         assert!(parse_request(big_body.as_bytes()).is_err());
         assert!(parse_request(b"GET / HTTP/1.1\r\nContent-Length: x\r\n\r\n").is_err());
+    }
+
+    /// A parsed request as comparable values.
+    type Parsed = (String, String, String, String, bool);
+
+    /// Parses every complete request at the front of `buf`, draining
+    /// what each consumed — the reactor's own loop over one buffer.
+    fn drain_requests(buf: &mut Vec<u8>, out: &mut Vec<Parsed>) {
+        loop {
+            let len = buf.len();
+            match parse_request(buf) {
+                Ok(Parse::Complete { req, consumed, keep_alive }) => {
+                    assert!(consumed > 0 && consumed <= len, "consumed {consumed} of {len}");
+                    out.push((req.method, req.path, req.query, req.body, keep_alive));
+                    buf.drain(..consumed);
+                }
+                Ok(Parse::Incomplete) => return,
+                Err(e) => panic!("valid pipelined input rejected: {e}"),
+            }
+        }
+    }
+
+    /// One random well-formed request with its own framing.
+    fn random_request(rng: &mut hec_core::rng::Rng) -> Vec<u8> {
+        let paths = ["/eval", "/sweep", "/healthz", "/metrics", "/x/y"];
+        let path = paths[rng.below(paths.len())];
+        let query = ["", "?app=gtc", "?app=gtc&platform=es&procs=64", "?a=%20b+c"][rng.below(4)];
+        let version = ["HTTP/1.1", "HTTP/1.0"][rng.below(2)];
+        let body: String = (0..rng.below(40)).map(|i| (b'a' + (i % 26) as u8) as char).collect();
+        let method = if body.is_empty() && rng.below(2) == 0 { "GET" } else { "POST" };
+        let mut head = format!("{method} {path}{query} {version}\r\nHost: h\r\n");
+        if !body.is_empty() || rng.below(2) == 0 {
+            head.push_str(&format!("content-LENGTH: {}\r\n", body.len()));
+        }
+        match rng.below(4) {
+            0 => head.push_str("Connection: close\r\n"),
+            1 => head.push_str("Connection: Keep-Alive\r\n"),
+            _ => {}
+        }
+        head.push_str(if rng.below(5) == 0 { "\n" } else { "\r\n" });
+        let mut raw = head.into_bytes();
+        raw.extend_from_slice(body.as_bytes());
+        raw
+    }
+
+    #[test]
+    fn parser_never_panics_on_random_bytes() {
+        let mut rng = hec_core::rng::Rng::new(0x7e57);
+        let pieces: [&[u8]; 12] = [
+            b"GET ",
+            b"POST ",
+            b"/",
+            b"?",
+            b" HTTP/1.1",
+            b"\r\n",
+            b"\n",
+            b":",
+            b"Content-Length: ",
+            b"99999999999999999999",
+            b"\xff\xfe",
+            b"7",
+        ];
+        for _ in 0..20_000 {
+            let mut buf = Vec::new();
+            for _ in 0..rng.below(24) {
+                if rng.below(3) == 0 {
+                    buf.push(rng.next_u64() as u8);
+                } else {
+                    buf.extend_from_slice(pieces[rng.below(pieces.len())]);
+                }
+            }
+            if let Ok(Parse::Complete { consumed, .. }) = parse_request(&buf) {
+                assert!(
+                    consumed > 0 && consumed <= buf.len(),
+                    "consumed {consumed} of {}",
+                    buf.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn split_fed_pipelines_parse_like_whole_fed_ones() {
+        let mut rng = hec_core::rng::Rng::new(0x7e58);
+        for _ in 0..500 {
+            let reqs: Vec<Vec<u8>> =
+                (0..1 + rng.below(6)).map(|_| random_request(&mut rng)).collect();
+            let wire: Vec<u8> = reqs.concat();
+            let mut whole = Vec::new();
+            drain_requests(&mut wire.clone(), &mut whole);
+            assert_eq!(whole.len(), reqs.len(), "{:?}", String::from_utf8_lossy(&wire));
+            // The same bytes in random chunks, parsed after every chunk.
+            let mut split = Vec::new();
+            let mut buf = Vec::new();
+            let mut at = 0;
+            while at < wire.len() {
+                let end = (at + 1 + rng.below(24)).min(wire.len());
+                buf.extend_from_slice(&wire[at..end]);
+                drain_requests(&mut buf, &mut split);
+                at = end;
+            }
+            assert!(buf.is_empty(), "{} bytes left over", buf.len());
+            assert_eq!(split, whole);
+        }
+    }
+
+    #[test]
+    fn a_burst_of_completions_writes_one_wake_byte() {
+        let (tx, rx) = sys::wake_pair().unwrap();
+        let shared = Shared::new(tx);
+        let done =
+            |token| Completion { token, code: 200, headers: Vec::new(), body: String::new() };
+        for token in 0..100 {
+            shared.push(done(token));
+        }
+        let mut sink = [0u8; 256];
+        assert_eq!((&rx).read(&mut sink).unwrap(), 1, "100 undrained pushes must leave one byte");
+        assert_eq!((&rx).read(&mut sink).unwrap_err().kind(), ErrorKind::WouldBlock);
+        // Taking the list re-arms the wake: the next push writes again.
+        assert_eq!(shared.take().len(), 100);
+        shared.push(done(100));
+        assert_eq!((&rx).read(&mut sink).unwrap(), 1);
     }
 
     #[test]

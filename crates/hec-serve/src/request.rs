@@ -228,12 +228,14 @@ impl Point {
     /// The canonical cache key: fixed field order, canonical tokens,
     /// optional fields present exactly when the app defines them.
     pub fn canonical_key(&self) -> String {
-        let mut key = format!("{}|{}|procs={}", self.app.name(), self.sel.token(), self.spec.procs);
+        use std::fmt::Write as _;
+        let mut key = String::with_capacity(40);
+        let _ = write!(key, "{}|{}|procs={}", self.app.name(), self.sel.token(), self.spec.procs);
         if let Some(pz) = self.spec.pz {
-            key.push_str(&format!("|pz={pz}"));
+            let _ = write!(key, "|pz={pz}");
         }
         if let Some(n) = self.spec.n {
-            key.push_str(&format!("|n={n}"));
+            let _ = write!(key, "|n={n}");
         }
         key
     }
@@ -308,6 +310,191 @@ mod tests {
             spec: crate::engine::PointSpec::procs(7),
         };
         let _ = p.eval(); // Some or None both fine — just must not panic.
+    }
+
+    /// Every point of every paper-table row.
+    fn table_points() -> Vec<Point> {
+        let mut pts = Vec::new();
+        for app in AppId::ALL {
+            for rs in engine::row_specs(app) {
+                pts.extend(rs.columns.iter().flatten().map(|&sel| Point {
+                    app,
+                    sel,
+                    spec: rs.spec,
+                }));
+            }
+        }
+        pts
+    }
+
+    /// `s` with random case flips.
+    fn recase(rng: &mut hec_core::rng::Rng, s: &str) -> String {
+        s.chars()
+            .map(
+                |c| if rng.below(2) == 0 { c.to_ascii_uppercase() } else { c.to_ascii_lowercase() },
+            )
+            .collect()
+    }
+
+    /// A random accepted spelling of `p`'s fields as `(key, value, is_number)`,
+    /// in random order: case-folded names, aliases, punctuation the
+    /// platform parser folds away, numbers in other notations, and
+    /// extras left to their defaults where the app has one.
+    fn spelled_fields(
+        rng: &mut hec_core::rng::Rng,
+        p: &Point,
+    ) -> Vec<(&'static str, String, bool)> {
+        let app = match (p.app, rng.below(3)) {
+            (AppId::Lbmhd, 0) => "lbmhd3d".to_string(),
+            (app, _) => app.name().to_string(),
+        };
+        let platform = match rng.below(3) {
+            0 => p.sel.token().to_string(),
+            1 => p.sel.label().to_string(),
+            _ => p.sel.label().replace(' ', "-").replace(['(', ')'], "_"),
+        };
+        let number = |rng: &mut hec_core::rng::Rng, v: usize| match rng.below(3) {
+            0 => v.to_string(),
+            1 => format!("{v}.0"),
+            _ => format!("{}e1", v as f64 / 10.0),
+        };
+        let mut fields = vec![
+            ("app", recase(rng, &app), false),
+            ("platform", recase(rng, &platform), false),
+            ("procs", number(rng, p.spec.procs), true),
+        ];
+        let lbmhd_default = lbmhd::model::TABLE5_CONFIGS.iter().any(|&(procs, n)| {
+            p.app == AppId::Lbmhd && procs == p.spec.procs && Some(n) == p.spec.n
+        });
+        if let Some(pz) = p.spec.pz.filter(|&pz| pz != 1 || rng.below(2) == 0) {
+            fields.push(("pz", number(rng, pz), true));
+        }
+        if let Some(n) = p.spec.n.filter(|_| !lbmhd_default || rng.below(2) == 0) {
+            fields.push(("n", number(rng, n), true));
+        }
+        for i in (1..fields.len()).rev() {
+            fields.swap(i, rng.below(i + 1));
+        }
+        fields
+    }
+
+    /// Percent-encodes every byte that is not alphanumeric, or encodes a
+    /// space as `+`, at random.
+    fn encode(rng: &mut hec_core::rng::Rng, s: &str) -> String {
+        s.bytes()
+            .map(|b| match b {
+                b if b.is_ascii_alphanumeric() && rng.below(4) != 0 => (b as char).to_string(),
+                b' ' if rng.below(2) == 0 => "+".to_string(),
+                b => format!("%{b:02X}"),
+            })
+            .collect()
+    }
+
+    fn as_query(rng: &mut hec_core::rng::Rng, fields: &[(&str, String, bool)]) -> String {
+        let pairs: Vec<String> = fields
+            .iter()
+            .map(|(k, v, _)| format!("{}={}", encode(rng, k), encode(rng, v)))
+            .collect();
+        pairs.join("&")
+    }
+
+    fn as_json(fields: &[(&str, String, bool)]) -> String {
+        let pairs: Vec<String> = fields
+            .iter()
+            .map(
+                |(k, v, num)| {
+                    if *num {
+                        format!("\"{k}\": {v}")
+                    } else {
+                        format!("\"{k}\": {v:?}")
+                    }
+                },
+            )
+            .collect();
+        format!("{{{}}}", pairs.join(", "))
+    }
+
+    #[test]
+    fn every_spelling_of_a_point_gives_one_canonical_key() {
+        let mut rng = hec_core::rng::Rng::new(0x5eed);
+        for p in table_points() {
+            let key = p.canonical_key();
+            for _ in 0..8 {
+                let fields = spelled_fields(&mut rng, &p);
+                let q = as_query(&mut rng, &fields);
+                let got = Point::from_query(&q).unwrap_or_else(|e| panic!("{q}: {e}"));
+                assert_eq!(got.canonical_key(), key, "{q}");
+                let body = as_json(&fields);
+                let got = Point::from_json_text(&body).unwrap_or_else(|e| panic!("{body}: {e}"));
+                assert_eq!(got.canonical_key(), key, "{body}");
+            }
+        }
+    }
+
+    #[test]
+    fn garbage_requests_are_bad_requests_never_panics() {
+        let mut rng = hec_core::rng::Rng::new(0xbad);
+        let points = table_points();
+        // One corruption of a valid spelling: each must be rejected.
+        for _ in 0..2_000 {
+            let p = points[rng.below(points.len())];
+            let mut fields = spelled_fields(&mut rng, &p);
+            let at = rng.below(fields.len());
+            match rng.below(5) {
+                0 => {
+                    fields.remove(fields.iter().position(|f| f.0 == "procs").unwrap());
+                }
+                1 => fields.push((["bogus", "procz", "x"][rng.below(3)], "1".into(), true)),
+                2 => fields[at].1 = ["", "-1", "0", "2.5", "1e400", "nan"][rng.below(6)].into(),
+                3 => {
+                    let i = fields.iter().position(|f| f.0 == "platform").unwrap();
+                    fields[i].1 = ["t3e", "x2", "", "4-ssp-x"][rng.below(4)].into();
+                }
+                _ => {
+                    let wrong = if p.app == AppId::Fvcam { "n" } else { "pz" };
+                    if !fields.iter().any(|f| f.0 == wrong) {
+                        fields.push((wrong, "4".into(), true));
+                    } else {
+                        fields.push(("app2", "gtc".into(), false));
+                    }
+                }
+            }
+            let q = as_query(&mut rng, &fields);
+            assert!(Point::from_query(&q).is_err(), "accepted corrupted query {q}");
+            let body = as_json(&fields);
+            assert!(Point::from_json_text(&body).is_err(), "accepted corrupted body {body}");
+        }
+        // Random text: any verdict, but never a panic.
+        let pieces = [
+            "app=",
+            "platform=",
+            "procs=",
+            "&",
+            "=",
+            "%",
+            "%4",
+            "%zz",
+            "+",
+            "gtc",
+            "es",
+            "64",
+            "1e308",
+            "-",
+            "{",
+            "}",
+            "\"",
+            ":",
+            ",",
+            "[",
+            "é",
+            "\u{0}",
+        ];
+        for _ in 0..20_000 {
+            let text: String =
+                (0..rng.below(16)).map(|_| pieces[rng.below(pieces.len())]).collect();
+            let _ = Point::from_query(&text);
+            let _ = Point::from_json_text(&text);
+        }
     }
 
     #[test]

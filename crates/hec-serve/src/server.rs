@@ -13,6 +13,12 @@
 //! request, flushes its response, then joins the workers: in-flight
 //! requests always complete.
 //!
+//! The `/eval` and `/sweep` bodies are written straight into one
+//! pre-sized `String` ([`point_response_body`], [`sweep_response_body`])
+//! in `Json::emit_pretty`'s layout, through the `hec_core::json` number
+//! and escape primitives: one emitter, no `Json` tree per request, and
+//! the bytes the determinism contract pins.
+//!
 //! Protocol surface (JSON bodies; `Connection: keep-alive` unless the
 //! client opts out or the server is stopping):
 //!
@@ -31,12 +37,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use hec_core::json::Json;
+use hec_core::json::{self, Json};
 use hec_core::pool::{QueueGauge, Threads, WorkerPool};
 
 use crate::batch::Batcher;
 use crate::cache::ShardedLru;
-use crate::engine::{self, AppId, Cell};
+use crate::engine::{self, AppId, Cell, PointSpec};
 use crate::metrics::Histogram;
 use crate::reactor::{self, CoreConfig, CoreEvents, NetStats, ShutdownFlag};
 use crate::request::{parse_query, Point};
@@ -112,11 +118,12 @@ impl ServeState {
     /// cached and uncached paths return the same value, and responses
     /// are always emitted from the value — bitwise-equal bodies.
     fn eval_point(&self, point: &Point) -> Option<Cell> {
-        if let Some(cached) = self.cache.get(&point.canonical_key()) {
+        let key = point.canonical_key();
+        if let Some(cached) = self.cache.get(&key) {
             return cached;
         }
         let cell = self.batcher.eval(point);
-        self.cache.put(point.canonical_key(), cell);
+        self.cache.put(key, cell);
         cell
     }
 
@@ -234,83 +241,152 @@ pub fn reactor_doc(net: &NetStats) -> Json {
     ])
 }
 
-/// Renders one evaluated point as the `/eval` response document.
-/// Public so tests and the CLI can build the expected bytes in-process.
-pub fn point_doc(point: &Point, cell: Option<Cell>) -> Json {
-    let mut fields = vec![
-        ("app".to_string(), Json::Str(point.app.name().to_string())),
-        ("platform".to_string(), Json::Str(point.sel.label().to_string())),
-        ("procs".to_string(), Json::Num(point.spec.procs as f64)),
-    ];
-    if let Some(pz) = point.spec.pz {
-        fields.push(("pz".to_string(), Json::Num(pz as f64)));
+/// Writes JSON in [`Json::emit_pretty`]'s layout one token at a time, so
+/// the `/eval` and `/sweep` bodies go straight into one `String` with no
+/// `Json` tree in between. Numbers and strings use the `hec_core::json`
+/// primitives `emit_pretty` itself uses, so the bytes are the same.
+struct Pretty {
+    out: String,
+    depth: usize,
+    /// No element written yet in the innermost open container.
+    empty: bool,
+}
+
+impl Pretty {
+    fn with_capacity(bytes: usize) -> Pretty {
+        Pretty { out: String::with_capacity(bytes), depth: 0, empty: true }
     }
-    if let Some(n) = point.spec.n {
-        fields.push(("n".to_string(), Json::Num(n as f64)));
+
+    fn newline(&mut self) {
+        self.out.push('\n');
+        for _ in 0..self.depth {
+            self.out.push_str("  ");
+        }
     }
-    fields.push(("feasible".to_string(), Json::Bool(cell.is_some())));
+
+    /// Starts the next element of the open container.
+    fn next(&mut self) -> &mut Pretty {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        self.newline();
+        self
+    }
+
+    /// Starts the next object field.
+    fn key(&mut self, k: &str) -> &mut Pretty {
+        self.next();
+        json::write_escaped(&mut self.out, k);
+        self.out.push_str(": ");
+        self
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.depth += 1;
+        self.empty = true;
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !self.empty {
+            self.newline();
+        }
+        self.out.push(bracket);
+        self.empty = false;
+    }
+
+    fn num(&mut self, x: f64) {
+        json::write_number(&mut self.out, x);
+    }
+
+    fn str(&mut self, s: &str) {
+        json::write_escaped(&mut self.out, s);
+    }
+
+    fn raw(&mut self, token: &str) {
+        self.out.push_str(token);
+    }
+
+    /// The document with `emit_pretty`'s trailing newline.
+    fn finish(mut self) -> String {
+        self.out.push('\n');
+        self.out
+    }
+}
+
+/// The optional coordinates, in key order: FVCAM's `pz`, LBMHD's `n`.
+fn write_extras(p: &mut Pretty, spec: &PointSpec) {
+    if let Some(pz) = spec.pz {
+        p.key("pz").num(pz as f64);
+    }
+    if let Some(n) = spec.n {
+        p.key("n").num(n as f64);
+    }
+}
+
+/// `feasible` and, for a feasible point, its three predictions.
+fn write_cell(p: &mut Pretty, cell: Option<Cell>) {
+    p.key("feasible").raw(if cell.is_some() { "true" } else { "false" });
     if let Some(c) = cell {
-        fields.push(("gflops_per_proc".to_string(), Json::Num(c.gflops)));
-        fields.push(("percent_of_peak".to_string(), Json::Num(c.pct_peak)));
-        fields.push(("step_secs".to_string(), Json::Num(c.step_secs)));
+        p.key("gflops_per_proc").num(c.gflops);
+        p.key("percent_of_peak").num(c.pct_peak);
+        p.key("step_secs").num(c.step_secs);
     }
-    Json::Obj(fields)
 }
 
 /// The exact `/eval` response body for `point` — the service's
 /// determinism contract is that the wire bytes equal this string.
+/// Public so tests and the CLI can build the expected bytes in-process.
 pub fn point_response_body(point: &Point, cell: Option<Cell>) -> String {
-    point_doc(point, cell).emit_pretty()
+    let mut p = Pretty::with_capacity(256);
+    p.open('{');
+    p.key("app").str(point.app.name());
+    p.key("platform").str(point.sel.label());
+    p.key("procs").num(point.spec.procs as f64);
+    write_extras(&mut p, &point.spec);
+    write_cell(&mut p, cell);
+    p.close('}');
+    p.finish()
 }
 
-/// Renders a full sweep for `app` from per-point cells supplied by
-/// `eval` (the server passes its cached path; tests pass direct
-/// evaluation — the bodies must agree bitwise).
-pub fn sweep_doc(app: AppId, mut eval: impl FnMut(&Point) -> Option<Cell>) -> Json {
-    let rows: Vec<Json> = engine::row_specs(app)
-        .into_iter()
-        .map(|rs| {
-            let cells: Vec<Json> = rs
-                .columns
-                .iter()
-                .map(|col| match col {
-                    None => Json::Null,
-                    Some(sel) => {
-                        let point = Point { app, sel: *sel, spec: rs.spec };
-                        let cell = eval(&point);
-                        let mut f = vec![
-                            ("platform".to_string(), Json::Str(sel.label().to_string())),
-                            ("feasible".to_string(), Json::Bool(cell.is_some())),
-                        ];
-                        if let Some(c) = cell {
-                            f.push(("gflops_per_proc".to_string(), Json::Num(c.gflops)));
-                            f.push(("percent_of_peak".to_string(), Json::Num(c.pct_peak)));
-                            f.push(("step_secs".to_string(), Json::Num(c.step_secs)));
-                        }
-                        Json::Obj(f)
-                    }
-                })
-                .collect();
-            let mut f = vec![
-                ("procs".to_string(), Json::Num(rs.procs as f64)),
-                ("label".to_string(), Json::Str(rs.label)),
-            ];
-            if let Some(pz) = rs.spec.pz {
-                f.push(("pz".to_string(), Json::Num(pz as f64)));
+/// The exact `/sweep` response body for `app`, from per-point cells
+/// supplied by `eval` (the server passes its cached path; tests pass
+/// direct evaluation — the bodies must agree bitwise). `eval` is called
+/// once per non-empty cell, in table order.
+pub fn sweep_response_body(app: AppId, mut eval: impl FnMut(&Point) -> Option<Cell>) -> String {
+    let rows = engine::row_specs(app);
+    // A feasible cell takes about 230 bytes and a row head about 100, so
+    // this bounds every table's body: one allocation.
+    let mut p = Pretty::with_capacity(64 + rows.len() * (120 + 7 * 240));
+    p.open('{');
+    p.key("app").str(app.name());
+    p.key("rows").open('[');
+    for rs in &rows {
+        p.next().open('{');
+        p.key("procs").num(rs.procs as f64);
+        p.key("label").str(&rs.label);
+        write_extras(&mut p, &rs.spec);
+        p.key("cells").open('[');
+        for col in &rs.columns {
+            p.next();
+            match col {
+                None => p.raw("null"),
+                Some(sel) => {
+                    p.open('{');
+                    p.key("platform").str(sel.label());
+                    write_cell(&mut p, eval(&Point { app, sel: *sel, spec: rs.spec }));
+                    p.close('}');
+                }
             }
-            if let Some(n) = rs.spec.n {
-                f.push(("n".to_string(), Json::Num(n as f64)));
-            }
-            f.push(("cells".to_string(), Json::Arr(cells)));
-            Json::Obj(f)
-        })
-        .collect();
-    Json::obj([("app", Json::Str(app.name().to_string())), ("rows", Json::Arr(rows))])
-}
-
-/// The exact `/sweep` response body for `app` under `eval`.
-pub fn sweep_response_body(app: AppId, eval: impl FnMut(&Point) -> Option<Cell>) -> String {
-    sweep_doc(app, eval).emit_pretty()
+        }
+        p.close(']');
+        p.close('}');
+    }
+    p.close(']');
+    p.close('}');
+    p.finish()
 }
 
 /// Canonical reason phrase for the status codes this dialect uses.
